@@ -78,10 +78,6 @@ type benchRow struct {
 	SecondsPerOp float64 `json:"seconds_per_op"` // best of reps
 	MeanSeconds  float64 `json:"mean_seconds"`
 	Solves       int     `json:"solves"`
-	// MaxRelErr is the measured max relative error of a reduced-precision
-	// serving mode against the exact float64 apply (float32 rows only; the
-	// exact rows omit it).
-	MaxRelErr float64 `json:"max_rel_err,omitempty"`
 	// P50Seconds/P99Seconds are per-request latency quantiles scraped from
 	// the live serving metrics registry over the timed rounds (ServeApply
 	// row only) — the same histogram GET /metrics exposes, so the benchmark
@@ -371,14 +367,10 @@ func run(out string, short bool, reps int) error {
 
 	// Apply-path benchmarks: the serving side of the model layer. One op is
 	// a single Q·Gw·Qᵀ·x through the engine's scratch-buffered path, or a
-	// 16-column batch/panel on the worker pool. Zero substrate solves by
+	// 16-column panel on the worker pool. Zero substrate solves by
 	// construction, so the solve-count gate pins that the serving path never
 	// regresses into re-extraction.
-	applyRows, err := timeApply(res, reps)
-	if err != nil {
-		return err
-	}
-	for _, row := range applyRows {
+	for _, row := range timeApply(res, reps) {
 		log.Printf("%-18s %8.3gs/op (best of %d), %d solves", row.Name, row.SecondsPerOp, reps, row.Solves)
 		rows = append(rows, row)
 	}
@@ -458,43 +450,23 @@ func run(out string, short bool, reps int) error {
 }
 
 // timeApply benchmarks the engine's apply paths on an already-extracted
-// result: ApplySingle (one RHS through ApplyInto), ApplyBatch16 (16 RHS
-// through the panel-backed ApplyBatchInto), ApplyPanel16 (the raw
-// column-major panel kernel, no pack/unpack), ApplyBatchPerCol16 (the
-// per-column fan-out ablation the panel kernels replaced), and the dense
-// and float32 serving modes on the same 16-column panel — the float32 row
-// also reports its measured max relative error against the exact apply.
-// Applies are microseconds, so each timed sample loops enough iterations to
-// be clock-robust and reports the per-op time; best-of-reps like the
-// extraction rows.
-func timeApply(res *core.Result, reps int) ([]benchRow, error) {
+// result: ApplySingle (one RHS through ApplyInto) and ApplyPanel16 (16 RHS
+// through the column-major panel kernel). Applies are microseconds, so each
+// timed sample loops enough iterations to be clock-robust and reports the
+// per-op time; best-of-reps like the extraction rows.
+func timeApply(res *core.Result, reps int) []benchRow {
 	eng := res.Engine()
-	m := res.Model()
 	n := res.N()
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i%13) - 6
 	}
 	out := make([]float64, n)
-	const batchCols = 16
-	xs := make([][]float64, batchCols)
-	dst := make([][]float64, batchCols)
-	for i := range xs {
-		xs[i] = x
-		dst[i] = make([]float64, n)
-	}
-	panelX := make([]float64, n*batchCols)
-	panelY := make([]float64, n*batchCols)
-	for c := 0; c < batchCols; c++ {
+	const panelCols = 16
+	panelX := make([]float64, n*panelCols)
+	panelY := make([]float64, n*panelCols)
+	for c := 0; c < panelCols; c++ {
 		copy(panelX[c*n:(c+1)*n], x)
-	}
-	dense, err := model.NewEngineOpts(m, model.EngineOptions{Mode: model.ModeDense})
-	if err != nil {
-		return nil, err
-	}
-	f32, err := model.NewEngineOpts(m, model.EngineOptions{Mode: model.ModeFloat32})
-	if err != nil {
-		return nil, err
 	}
 
 	const iters = 100
@@ -514,40 +486,13 @@ func timeApply(res *core.Result, reps int) ([]benchRow, error) {
 		return best
 	}
 	single := sample(func() { eng.ApplyInto(out, x) })
-	batch := sample(func() { eng.ApplyBatchInto(dst, xs, 0) })
-	panel := sample(func() { eng.ApplyPanelInto(panelY, panelX, batchCols, 0) })
-	perCol := sample(func() { eng.ApplyBatchPerColumnInto(dst, xs, 0) })
-	denseT := sample(func() { dense.ApplyPanelInto(panelY, panelX, batchCols, 0) })
-	f32T := sample(func() { f32.ApplyPanelInto(panelY, panelX, batchCols, 0) })
-
-	// Measured float32 serving error: max |y32 - y64| relative to the exact
-	// apply's largest magnitude, on the benchmark probe.
-	want := make([]float64, n)
-	got := make([]float64, n)
-	eng.ApplyInto(want, x)
-	f32.ApplyInto(got, x)
-	scale := 0.0
-	for i := range want {
-		if a := math.Abs(want[i]); a > scale {
-			scale = a
-		}
-	}
-	var maxRel float64
-	for i := range want {
-		if r := math.Abs(got[i]-want[i]) / scale; r > maxRel {
-			maxRel = r
-		}
-	}
+	panel := sample(func() { eng.ApplyPanelInto(panelY, panelX, panelCols, 0, false) })
 
 	method := res.Method.String()
 	return []benchRow{
 		{Name: "ApplySingle", Method: method, Workers: 1, Reps: reps, SecondsPerOp: single, MeanSeconds: single},
-		{Name: "ApplyBatch16", Method: method, Workers: 0, Reps: reps, SecondsPerOp: batch, MeanSeconds: batch},
 		{Name: "ApplyPanel16", Method: method, Workers: 0, Reps: reps, SecondsPerOp: panel, MeanSeconds: panel},
-		{Name: "ApplyBatchPerCol16", Method: method, Workers: 0, Reps: reps, SecondsPerOp: perCol, MeanSeconds: perCol},
-		{Name: "ApplyDense16", Method: method, Workers: 0, Reps: reps, SecondsPerOp: denseT, MeanSeconds: denseT},
-		{Name: "ApplyF32_16", Method: method, Workers: 0, Reps: reps, SecondsPerOp: f32T, MeanSeconds: f32T, MaxRelErr: maxRel},
-	}, nil
+	}
 }
 
 // timeServe benchmarks the HTTP serving path end to end: a serve.Server
@@ -555,7 +500,7 @@ func timeApply(res *core.Result, reps int) ([]benchRow, error) {
 // httptest listener, driven by 8 concurrent clients posting raw float64-LE
 // /apply bodies. One op is one served apply, so the row prices the full
 // request path — HTTP, codec, pool checkout, batch coalescing — not just
-// the engine kernel timed by ApplySingle/ApplyBatch16. Zero substrate
+// the engine kernel timed by ApplySingle/ApplyPanel16. Zero substrate
 // solves, gated like the other apply rows.
 func timeServe(res *core.Result, reps int) (benchRow, error) {
 	ms := obs.NewMetrics()

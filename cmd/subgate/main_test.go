@@ -94,9 +94,13 @@ type replicaProc struct {
 
 // startReplica launches a real subserve daemon on an ephemeral port,
 // parses the bound address from its startup log, and waits for readiness.
+// The kernel kills the replica when the test process dies, so neither a
+// signal to the test process nor a -timeout panic that skips t.Cleanup can
+// leave it serving.
 func startReplica(t *testing.T, bin, artifact string) *replicaProc {
 	t.Helper()
 	cmd := exec.Command(bin, "-model", artifact, "-addr", "127.0.0.1:0", "-pool", "2")
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 	"subcouple/internal/solver"
 )
 
@@ -66,99 +67,6 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	path, _ := saveTestArtifact(t, "m.scm")
 	if err := run([]string{"-model", path, "-addr", ln.Addr().String()}, &out); err == nil {
 		t.Fatal("busy -addr accepted")
-	}
-}
-
-// TestModeFlag pins the -mode wiring: an unknown spelling fails startup with
-// an error naming it, and a float32 daemon actually serves the
-// reduced-precision kernels — /apply responses are bitwise equal to a direct
-// float32 engine — while /fingerprint is refused with 400.
-func TestModeFlag(t *testing.T) {
-	var out bytes.Buffer
-	path, m := saveTestArtifact(t, "mode.scm")
-	if err := run([]string{"-model", path, "-mode", "quad"}, &out); err == nil || !strings.Contains(err.Error(), "quad") {
-		t.Fatalf("unknown -mode: err %v, want an error naming the spelling", err)
-	}
-
-	addrCh := make(chan net.Addr, 1)
-	onListen = func(a net.Addr) { addrCh <- a }
-	defer func() { onListen = nil }()
-	runErr := make(chan error, 1)
-	go func() {
-		runErr <- run([]string{"-model", path, "-addr", "127.0.0.1:0", "-mode", "f32", "-pool", "1", "-metrics=false"}, io.Discard)
-	}()
-	var addr net.Addr
-	select {
-	case addr = <-addrCh:
-	case err := <-runErr:
-		t.Fatalf("daemon exited before listening: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never bound its listener")
-	}
-	base := "http://" + addr.String()
-
-	x := make([]float64, m.N)
-	for i := range x {
-		x[i] = float64(i%11) - 5
-	}
-	body, _ := json.Marshal(map[string]any{"x": x})
-	resp, err := http.Post(base+"/apply", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/apply in f32 mode: %d: %s", resp.StatusCode, raw)
-	}
-	var ar struct {
-		Y []float64 `json:"y"`
-	}
-	if err := json.Unmarshal(raw, &ar); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := model.NewEngineOpts(m, model.EngineOptions{Mode: model.ModeFloat32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, m.N)
-	ref.ApplyInto(want, x)
-	for i := range want {
-		if ar.Y[i] != want[i] {
-			t.Fatalf("f32-mode y[%d] = %v, want %v (not bitwise identical to the float32 engine)", i, ar.Y[i], want[i])
-		}
-	}
-
-	resp, err = http.Get(base + "/fingerprint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exact") {
-		t.Fatalf("/fingerprint in f32 mode: %d %q, want 400 naming exactness", resp.StatusCode, msg)
-	}
-
-	// The daemon was started with -metrics=false: no /metrics route.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics with -metrics=false: %d, want 404", resp.StatusCode)
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-runErr:
-		if err != nil {
-			t.Fatalf("SIGTERM exit: %v, want clean nil", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
 	}
 }
 
@@ -279,8 +187,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	for _, want := range []string{
 		serve.MetricHTTPRequests + `{code="2xx",endpoint="apply"} ` + fmt.Sprint(clients),
 		serve.MetricLatencySeconds + `_count{endpoint="apply"} ` + fmt.Sprint(clients),
-		serve.MetricQueueDepth + `{model="lifecycle"} 0`,
-		serve.MetricPoolInUse + `{model="lifecycle"} 0`,
+		registry.MetricQueueDepth + `{model="lifecycle"} 0`,
+		registry.MetricPoolInUse + `{model="lifecycle"} 0`,
 	} {
 		if !strings.Contains(string(expo), want) {
 			t.Errorf("scrape missing %q", want)

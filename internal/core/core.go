@@ -249,7 +249,7 @@ func (r *Result) ApplyThresholded(x []float64) []float64 {
 		panic("core: no thresholded representation (set Options.ThresholdFactor)")
 	}
 	out := make([]float64, r.N())
-	r.engine.ApplyThresholdedInto(out, x)
+	r.engine.ApplyPanelInto(out, x, 1, 1, true)
 	return out
 }
 
@@ -259,7 +259,7 @@ func (r *Result) ApplyThresholded(x []float64) []float64 {
 // Engine().ColumnInto directly.
 func (r *Result) Column(j int) []float64 {
 	out := make([]float64, r.N())
-	r.engine.ColumnInto(out, j)
+	r.engine.ColumnInto(out, j, false)
 	return out
 }
 
@@ -269,7 +269,7 @@ func (r *Result) ColumnThresholded(j int) []float64 {
 		panic("core: no thresholded representation (set Options.ThresholdFactor)")
 	}
 	out := make([]float64, r.N())
-	r.engine.ColumnThresholdedInto(out, j)
+	r.engine.ColumnInto(out, j, true)
 	return out
 }
 

@@ -12,7 +12,7 @@ import (
 func (r *Result) Model() *model.Model { return r.model }
 
 // Engine returns the result's apply engine (scratch-buffered ApplyInto /
-// ColumnInto / ApplyBatch). The engine is not safe for concurrent use; spawn
+// ApplyPanelInto / ColumnInto). The engine is not safe for concurrent use; spawn
 // extra engines with model.NewEngine(r.Model()) for concurrent streams.
 func (r *Result) Engine() *model.Engine { return r.engine }
 

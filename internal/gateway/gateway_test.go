@@ -86,12 +86,7 @@ func probeVec(n, shift int) []float64 {
 // direct computes the reference y on a fresh, private engine.
 func direct(m *model.Model, x []float64, thresholded bool) []float64 {
 	y := make([]float64, m.N)
-	e := model.NewEngine(m)
-	if thresholded {
-		e.ApplyThresholdedInto(y, x)
-	} else {
-		e.ApplyInto(y, x)
-	}
+	model.NewEngine(m).ApplyPanelInto(y, x, 1, 1, thresholded)
 	return y
 }
 
@@ -263,7 +258,7 @@ func TestGatewayProxiesBitwise(t *testing.T) {
 	}
 	e := model.NewEngine(m)
 	want := make([]float64, m.N)
-	e.ColumnInto(want, 3)
+	e.ColumnInto(want, 3, false)
 	bitwiseEqual(t, "column raw", col, want)
 }
 

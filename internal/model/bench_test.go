@@ -44,35 +44,34 @@ func BenchmarkColumnInto(b *testing.B) {
 		eng := res.Engine()
 		out := make([]float64, res.N())
 		b.Run(method.String(), func(b *testing.B) {
-			eng.ColumnInto(out, 0)
+			eng.ColumnInto(out, 0, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.ColumnInto(out, i%res.N())
+				eng.ColumnInto(out, i%res.N(), false)
 			}
 		})
 	}
 }
 
-func BenchmarkApplyBatch(b *testing.B) {
+func BenchmarkApplyPanel(b *testing.B) {
 	const rhs = 16
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
 		res := extract256(b, method)
 		m := res.Model()
 		eng := model.NewEngine(m)
 		xs := make([][]float64, rhs)
-		dst := make([][]float64, rhs)
 		for i := range xs {
 			xs[i] = probeVec(m.N, i)
-			dst[i] = make([]float64, m.N)
 		}
+		x, dst := packPanel(m.N, xs), make([]float64, rhs*m.N)
 		for _, workers := range []int{1, runtime.NumCPU()} {
 			b.Run(fmt.Sprintf("%s/workers=%d", method, workers), func(b *testing.B) {
-				eng.ApplyBatchInto(dst, xs, workers) // warm per-worker scratch pool
+				eng.ApplyPanelInto(dst, x, rhs, workers, false) // warm per-worker scratch pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eng.ApplyBatchInto(dst, xs, workers)
+					eng.ApplyPanelInto(dst, x, rhs, workers, false)
 				}
 			})
 		}
@@ -91,9 +90,12 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() { eng.ApplyInto(out, x) }); avg != 0 {
 			t.Errorf("%v: ApplyInto allocates %.1f objects per call in steady state", method, avg)
 		}
-		eng.ColumnInto(out, 0)
-		if avg := testing.AllocsPerRun(20, func() { eng.ColumnInto(out, 1) }); avg != 0 {
+		eng.ColumnInto(out, 0, false)
+		if avg := testing.AllocsPerRun(20, func() { eng.ColumnInto(out, 1, false) }); avg != 0 {
 			t.Errorf("%v: ColumnInto allocates %.1f objects per call in steady state", method, avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() { eng.ColumnInto(out, 2, true) }); avg != 0 {
+			t.Errorf("%v: thresholded ColumnInto allocates %.1f objects per call in steady state", method, avg)
 		}
 	}
 }
@@ -113,8 +115,8 @@ func TestEngineMetricsZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() { eng.ApplyInto(out, x) }); avg != 0 {
 			t.Errorf("%v: ApplyInto with metrics allocates %.1f objects per call", method, avg)
 		}
-		eng.ColumnInto(out, 0)
-		if avg := testing.AllocsPerRun(20, func() { eng.ColumnInto(out, 1) }); avg != 0 {
+		eng.ColumnInto(out, 0, false)
+		if avg := testing.AllocsPerRun(20, func() { eng.ColumnInto(out, 1, false) }); avg != 0 {
 			t.Errorf("%v: ColumnInto with metrics allocates %.1f objects per call", method, avg)
 		}
 		const k = 4
@@ -122,8 +124,8 @@ func TestEngineMetricsZeroAlloc(t *testing.T) {
 		for c := 0; c < k; c++ {
 			copy(px[c*m.N:], probeVec(m.N, c))
 		}
-		eng.ApplyPanelInto(py, px, k, 1) // warm panel scratch
-		if avg := testing.AllocsPerRun(20, func() { eng.ApplyPanelInto(py, px, k, 1) }); avg != 0 {
+		eng.ApplyPanelInto(py, px, k, 1, false) // warm panel scratch
+		if avg := testing.AllocsPerRun(20, func() { eng.ApplyPanelInto(py, px, k, 1, false) }); avg != 0 {
 			t.Errorf("%v: ApplyPanelInto with metrics allocates %.1f objects per call", method, avg)
 		}
 	}

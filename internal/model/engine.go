@@ -6,121 +6,42 @@ import (
 	"time"
 
 	"subcouple/internal/obs"
-	"subcouple/internal/par"
 	"subcouple/internal/sparse"
 )
 
 // MetricApplySeconds is the live-metrics family for engine kernel durations,
-// labeled {mode, kind} — mode is the engine's serving-kernel family
-// (exact/dense/float32), kind the entry point (single/column/panel/batch).
-// The name lives here rather than in internal/serve because the engine owns
-// the series; serve and the CI scrape read the same spelling.
+// labeled {kind, mode}: kind is the entry point (single/column/panel) and
+// mode is always "exact", the one kernel family there is, kept so scrape
+// configs matching on it still select the series. The name lives here
+// rather than in internal/serve because the engine owns the series; serve
+// and the CI scrape read the same spelling.
 const MetricApplySeconds = "subcouple_engine_apply_seconds"
 
-// Mode selects the Engine's serving-kernel family.
-type Mode uint8
-
-const (
-	// ModeExact runs the float64 sparse/factored kernels: every output is
-	// bitwise identical to the extraction-time reference, per column, for
-	// any batch shape and worker count. This is the only mode Fingerprint
-	// accepts.
-	ModeExact Mode = iota
-	// ModeDense materializes G (and Gt when the model carries a thresholded
-	// Gwt) once at engine build — O(n²) memory — and serves applies as a
-	// single-pass dense row-major GEMV/GEMM. Columns are bitwise identical
-	// to ModeExact (they are copied out of the materialized operator);
-	// applies differ from ModeExact only by the documented dense summation
-	// order (one j-ascending dot per row).
-	ModeDense
-	// ModeFloat32 serves from converted float32 copies of the Gw/Gwt/Q
-	// values with float32 arithmetic throughout: roughly half the memory
-	// traffic for ~1e-6 relative error (measured per model by cmd/benchreport's
-	// ApplyF32 row). Rejected by exactness paths (Fingerprint).
-	ModeFloat32
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeExact:
-		return "exact"
-	case ModeDense:
-		return "dense"
-	case ModeFloat32:
-		return "float32"
-	}
-	return fmt.Sprintf("Mode(%d)", uint8(m))
-}
-
-// ParseMode maps the CLI spelling of a serving mode to its Mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "exact":
-		return ModeExact, nil
-	case "dense":
-		return ModeDense, nil
-	case "float32", "f32":
-		return ModeFloat32, nil
-	}
-	return 0, fmt.Errorf("model: unknown serving mode %q (want exact, dense or float32)", s)
-}
-
-// DefaultDenseBudget is the dense-mode materialization cap when
-// EngineOptions.DenseBudget is zero: total float64 entries across the
-// materialized operators (32 Mi entries = 256 MiB), i.e. n ≤ 5792 for a
-// model without Gwt, n ≤ 4096 with one.
-const DefaultDenseBudget = 32 << 20
-
-// EngineOptions selects the serving kernels of NewEngineOpts.
-type EngineOptions struct {
-	// Mode picks the kernel family (see the Mode constants). The zero value
-	// is ModeExact.
-	Mode Mode
-	// DenseBudget caps ModeDense materialization: the total number of dense
-	// float64 entries the engine may hold (n² for G, plus n² for Gt when the
-	// model is thresholded). 0 selects DefaultDenseBudget. NewEngineOpts
-	// fails when the model exceeds the budget instead of silently falling
-	// back, so an operator never pays O(n²) memory it did not sign up for.
-	DenseBudget int
-}
-
 // Engine applies a Model with reusable scratch buffers: after construction
-// the hot paths (ApplyInto, ColumnInto, steady-state ApplyBatchInto and the
-// panel paths at workers=1) perform no allocations. An Engine is not safe
-// for concurrent use — batched applies parallelize internally over
-// per-worker scratch, and independent goroutines should each hold their own
-// Engine (or check engines out of an internal/serve pool). The restriction
-// is enforced: every public apply holds a cheap atomic in-use guard, so two
-// goroutines sharing one Engine panic deterministically instead of silently
-// corrupting scratch.
+// the hot paths (ApplyInto, ColumnInto and ApplyPanelInto at workers=1)
+// perform no allocations. An Engine is not safe for concurrent use — panel
+// applies parallelize internally over per-worker scratch, and independent
+// goroutines should each hold their own Engine (or check engines out of an
+// internal/serve/registry pool). The restriction is enforced: every public
+// apply holds a cheap atomic in-use guard, so two goroutines sharing one
+// Engine panic deterministically instead of silently corrupting scratch.
 //
-// In ModeExact every apply is bitwise-deterministic: the per-column
-// arithmetic never depends on buffer history (outputs are fully
-// overwritten), on the batch shape (panel kernels run the single-RHS
-// accumulation sequence per column), or on the worker count (panel chunks
-// and batch columns are computed independently into their own slots), so
-// Engine output on a decoded artifact is bitwise identical to the in-memory
-// extraction result's.
+// Every apply is bitwise-deterministic: the per-column arithmetic never
+// depends on buffer history (outputs are fully overwritten), on the panel
+// width (panel kernels run the single-RHS accumulation sequence per column),
+// or on the worker count (panel chunks are computed independently into
+// their own slots), so Engine output on a decoded artifact is bitwise
+// identical to the in-memory extraction result's.
 type Engine struct {
 	m    *Model
-	mode Mode
 	rec  *obs.Recorder
 	tr   *obs.Tracer
 	sc   *scratch
-	pool []*scratch // per-worker scratch for batched applies, grown on demand
+	pool []*scratch // per-worker scratch for panel chunks, grown on demand
 
-	dense *denseRep // ModeDense: materialized operators
-	f32   *f32Rep   // ModeFloat32: converted value copies
-
-	// px/py are the pack panels ApplyBatchInto marshals [][]float64 batches
-	// through, grown on demand and reused.
-	px, py []float64
-
-	// batch/panel carry the per-call state of the batched applies, and
-	// batchFn/panelFn are the worker bodies capturing them, built once so
-	// the hot paths do not allocate a fresh closure per call.
-	batch   batchState
-	batchFn func(worker, i int)
+	// panel carries the per-call state of a panel apply, and panelFn is the
+	// worker body capturing it, built once so the hot path does not
+	// allocate a fresh closure per call.
 	panel   panelState
 	panelFn func(worker, ci int)
 
@@ -131,35 +52,26 @@ type Engine struct {
 	// Live-metrics duration histograms per entry-point kind (nil without
 	// SetMetrics; nil-safe, and recording is atomics-only so the hot paths
 	// stay allocation-free).
-	mApply, mColumn, mPanel, mBatch *obs.Histogram
-}
-
-// batchState is the in-flight ApplyBatchPerColumnInto call.
-type batchState struct {
-	dst, xs     [][]float64
-	thresholded bool
-	sp          *obs.Span
+	mApply, mColumn, mPanel *obs.Histogram
 }
 
 // panelState is the in-flight panel apply.
 type panelState struct {
-	dst, x      []float64
-	k, chunk    int
-	thresholded bool
-	sp          *obs.Span
+	dst, x   []float64
+	k, chunk int
+	gw       *sparse.Matrix
+	sp       *obs.Span
 }
 
 // scratch holds the working vectors of one apply stream.
 type scratch struct {
 	u, w []float64 // coefficient-space vectors (Qᵀx and Gw·Qᵀx)
 	a, b []float64 // factored-chain ping-pong buffers (QFactored only)
-	unit []float64 // kept all-zero between ColumnInto calls
+	unit []float64 // kept all-zero between column applies
 
 	// Panel buffers (n×width column-major), grown on demand by ensurePanel.
 	pu, pw []float64
 	pa, pb []float64 // factored panel ping-pong (QFactored only)
-
-	f32 *scratch32 // ModeFloat32 mirrors, nil otherwise
 }
 
 // clearUnit re-zeroes one unit-vector slot; the column applies arm it and
@@ -168,7 +80,7 @@ type scratch struct {
 // silently corrupt every later column.
 func (sc *scratch) clearUnit(j int) { sc.unit[j] = 0 }
 
-func newScratch(m *Model, mode Mode) *scratch {
+func newScratch(m *Model) *scratch {
 	sc := &scratch{
 		u:    make([]float64, m.N),
 		w:    make([]float64, m.N),
@@ -178,21 +90,11 @@ func newScratch(m *Model, mode Mode) *scratch {
 		sc.a = make([]float64, m.N)
 		sc.b = make([]float64, m.N)
 	}
-	if mode == ModeFloat32 {
-		sc.f32 = newScratch32(m)
-	}
 	return sc
 }
 
 // ensurePanel grows the scratch's panel buffers to hold width columns.
-func (sc *scratch) ensurePanel(m *Model, mode Mode, width int) {
-	if mode == ModeDense {
-		return // dense panels write straight into the caller's panel
-	}
-	if mode == ModeFloat32 {
-		sc.f32.ensurePanel(m, width)
-		return
-	}
+func (sc *scratch) ensurePanel(m *Model, width int) {
 	if len(sc.pu) >= m.N*width {
 		return
 	}
@@ -204,53 +106,19 @@ func (sc *scratch) ensurePanel(m *Model, mode Mode, width int) {
 	}
 }
 
-// NewEngine builds an exact-mode apply engine over m. The model must be
-// valid (Decode guarantees it; extraction-built models are valid by
-// construction).
+// NewEngine builds an apply engine over m. The model must be valid (Decode
+// guarantees it; extraction-built models are valid by construction).
 func NewEngine(m *Model) *Engine {
-	e, err := NewEngineOpts(m, EngineOptions{})
-	if err != nil {
-		panic(err) // ModeExact construction cannot fail on a valid model
-	}
-	return e
-}
-
-// NewEngineOpts builds an apply engine over m with the selected serving
-// mode. ModeDense fails when the materialized operators would exceed the
-// dense budget; ModeExact never fails.
-func NewEngineOpts(m *Model, opt EngineOptions) (*Engine, error) {
-	e := &Engine{m: m, mode: opt.Mode}
-	switch opt.Mode {
-	case ModeExact:
-	case ModeDense:
-		d, err := newDenseRep(m, opt.DenseBudget)
-		if err != nil {
-			return nil, err
-		}
-		e.dense = d
-	case ModeFloat32:
-		e.f32 = newF32Rep(m)
-	default:
-		return nil, fmt.Errorf("model: unknown engine mode %d", opt.Mode)
-	}
-	e.sc = newScratch(m, e.mode)
-	e.batchFn = func(worker, i int) {
-		csp := e.batch.sp.ChildOn(worker+1, "model/apply_col").Arg("col", i)
-		e.applyAny(e.pool[worker], e.batch.dst[i], e.batch.xs[i], e.batch.thresholded)
-		csp.End()
-	}
+	e := &Engine{m: m, sc: newScratch(m)}
 	e.panelFn = func(worker, ci int) {
 		n := e.m.N
 		c0 := ci * e.panel.chunk
-		c1 := c0 + e.panel.chunk
-		if c1 > e.panel.k {
-			c1 = e.panel.k
-		}
+		c1 := min(c0+e.panel.chunk, e.panel.k)
 		csp := e.panel.sp.ChildOn(worker+1, "model/panel_chunk").Arg("c0", c0).Arg("cols", c1-c0)
-		e.applyPanelAny(e.pool[worker], e.panel.dst[c0*n:c1*n], e.panel.x[c0*n:c1*n], e.panel.thresholded, c1-c0)
+		e.applyPanel(e.pool[worker], e.panel.dst[c0*n:c1*n], e.panel.x[c0*n:c1*n], e.panel.gw, c1-c0)
 		csp.End()
 	}
-	return e, nil
+	return e
 }
 
 // Model returns the engine's model.
@@ -259,15 +127,8 @@ func (e *Engine) Model() *Model { return e.m }
 // N returns the operator dimension.
 func (e *Engine) N() int { return e.m.N }
 
-// Mode returns the engine's serving mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
-// Exact reports whether the engine serves the bitwise-exact float64 path
-// (the only mode exactness checks like Fingerprint accept).
-func (e *Engine) Exact() bool { return e.mode == ModeExact }
-
 // SetObs attaches an optional recorder (apply-phase timers and counters) and
-// tracer (per-batch spans). Nil values record nothing; observability never
+// tracer (per-panel spans). Nil values record nothing; observability never
 // changes apply outputs.
 func (e *Engine) SetObs(rec *obs.Recorder, tr *obs.Tracer) {
 	e.rec = rec
@@ -275,17 +136,15 @@ func (e *Engine) SetObs(rec *obs.Recorder, tr *obs.Tracer) {
 }
 
 // SetMetrics attaches the live kernel-duration histograms (MetricApplySeconds,
-// labeled with the engine's mode and the entry-point kind). Engines sharing
-// one registry and mode share the series — the registry hands back the same
-// handle — so a pool aggregates naturally. A nil registry leaves recording a
-// no-op; like SetObs, metrics never change apply outputs.
+// labeled with the entry-point kind). Engines sharing one registry share the
+// series — the registry hands back the same handle — so a pool aggregates
+// naturally. A nil registry leaves recording a no-op; like SetObs, metrics
+// never change apply outputs.
 func (e *Engine) SetMetrics(ms *obs.Metrics) {
 	const help = "engine kernel duration by serving mode and entry-point kind"
-	mode := e.mode.String()
-	e.mApply = ms.Histogram(MetricApplySeconds, help, "kind", "single", "mode", mode)
-	e.mColumn = ms.Histogram(MetricApplySeconds, help, "kind", "column", "mode", mode)
-	e.mPanel = ms.Histogram(MetricApplySeconds, help, "kind", "panel", "mode", mode)
-	e.mBatch = ms.Histogram(MetricApplySeconds, help, "kind", "batch", "mode", mode)
+	e.mApply = ms.Histogram(MetricApplySeconds, help, "kind", "single", "mode", "exact")
+	e.mColumn = ms.Histogram(MetricApplySeconds, help, "kind", "column", "mode", "exact")
+	e.mPanel = ms.Histogram(MetricApplySeconds, help, "kind", "panel", "mode", "exact")
 }
 
 // acquire takes the in-use guard or panics: an Engine's scratch buffers hold
@@ -324,16 +183,6 @@ func (e *Engine) checkAlias(method string, dst, x []float64) {
 	}
 }
 
-// checkCol is checkVec for one column of a batch.
-func (e *Engine) checkCol(method, name string, i int, v []float64) {
-	if v == nil {
-		panic(fmt.Sprintf("model: %s: %s[%d] is nil (want length %d)", method, name, i, e.m.N))
-	}
-	if len(v) != e.m.N {
-		panic(fmt.Sprintf("model: %s: %s[%d] has length %d, want %d", method, name, i, len(v), e.m.N))
-	}
-}
-
 // checkIndex validates a column index argument.
 func (e *Engine) checkIndex(method string, j int) {
 	if j < 0 || j >= e.m.N {
@@ -341,31 +190,22 @@ func (e *Engine) checkIndex(method string, j int) {
 	}
 }
 
-// checkThresholded panics when the model has no Gwt.
-func (e *Engine) checkThresholded() {
+// gw returns the coefficient matrix an apply reads: the thresholded Gwt
+// (panicking when the model carries none) or Gw.
+func (e *Engine) gw(thresholded bool) *sparse.Matrix {
+	if !thresholded {
+		return e.m.Gw
+	}
 	if e.m.Gwt == nil {
 		panic("model: no thresholded representation")
 	}
+	return e.m.Gwt
 }
 
-// applyAny runs one single-RHS apply through the mode's kernel family.
-func (e *Engine) applyAny(sc *scratch, dst, x []float64, thresholded bool) {
-	switch e.mode {
-	case ModeDense:
-		e.dense.apply(dst, x, thresholded)
-	case ModeFloat32:
-		e.apply32(sc.f32, dst, x, thresholded)
-	default:
-		gw := e.m.Gw
-		if thresholded {
-			gw = e.m.Gwt
-		}
-		e.applyInto(sc, dst, gw, x)
-	}
-}
-
-// ApplyInto computes dst = Q·Gw·Qᵀ·x in place with no allocations. dst and x
-// must both have length N, and dst may not alias x (enforced).
+// ApplyInto computes dst = Q·Gw·Qᵀ·x in place with no allocations: the
+// width-1, unthresholded case of ApplyPanelInto, and the single-RHS
+// reference every panel column is bitwise equal to. dst and x must both
+// have length N, and dst may not alias x (enforced).
 func (e *Engine) ApplyInto(dst, x []float64) {
 	e.checkVec("ApplyInto", "dst", dst)
 	e.checkVec("ApplyInto", "x", x)
@@ -375,52 +215,15 @@ func (e *Engine) ApplyInto(dst, x []float64) {
 	defer e.rec.Phase("model/apply")()
 	e.rec.Add("model/applies", 1)
 	start := time.Now()
-	e.applyAny(e.sc, dst, x, false)
+	e.applyInto(e.sc, dst, e.m.Gw, x)
 	e.mApply.Observe(time.Since(start).Seconds())
 }
 
-// ApplyThresholdedInto is ApplyInto with the thresholded Gwt (panics when
-// the model carries none).
-func (e *Engine) ApplyThresholdedInto(dst, x []float64) {
-	e.checkThresholded()
-	e.checkVec("ApplyThresholdedInto", "dst", dst)
-	e.checkVec("ApplyThresholdedInto", "x", x)
-	e.checkAlias("ApplyThresholdedInto", dst, x)
-	e.acquire("ApplyThresholdedInto")
-	defer e.release()
-	defer e.rec.Phase("model/apply")()
-	e.rec.Add("model/applies", 1)
-	start := time.Now()
-	e.applyAny(e.sc, dst, x, true)
-	e.mApply.Observe(time.Since(start).Seconds())
-}
-
-// columnInto serves one operator column through the mode's kernels. The
-// exact and float32 paths apply a unit vector whose armed slot is reset via
-// defer — see scratch.clearUnit.
-func (e *Engine) columnInto(dst []float64, j int, thresholded bool) {
-	switch e.mode {
-	case ModeDense:
-		e.dense.column(dst, j, thresholded)
-	case ModeFloat32:
-		sc32 := e.sc.f32
-		sc32.unit[j] = 1
-		defer sc32.clearUnit(j)
-		e.apply32From(sc32, dst, sc32.unit, thresholded)
-	default:
-		sc := e.sc
-		gw := e.m.Gw
-		if thresholded {
-			gw = e.m.Gwt
-		}
-		sc.unit[j] = 1
-		defer sc.clearUnit(j)
-		e.applyInto(sc, dst, gw, sc.unit)
-	}
-}
-
-// ColumnInto computes column j of Q·Gw·Qᵀ into dst with no allocations.
-func (e *Engine) ColumnInto(dst []float64, j int) {
+// ColumnInto computes column j of Q·Gw·Qᵀ (Q·Gwt·Qᵀ when thresholded) into
+// dst with no allocations. It applies a unit vector whose armed slot is
+// reset via defer — see scratch.clearUnit.
+func (e *Engine) ColumnInto(dst []float64, j int, thresholded bool) {
+	gw := e.gw(thresholded)
 	e.checkVec("ColumnInto", "dst", dst)
 	e.checkIndex("ColumnInto", j)
 	e.acquire("ColumnInto")
@@ -428,28 +231,14 @@ func (e *Engine) ColumnInto(dst []float64, j int) {
 	defer e.rec.Phase("model/column")()
 	e.rec.Add("model/columns", 1)
 	start := time.Now()
-	e.columnInto(dst, j, false)
-	e.mColumn.Observe(time.Since(start).Seconds())
-}
-
-// ColumnThresholdedInto is ColumnInto with the thresholded Gwt.
-func (e *Engine) ColumnThresholdedInto(dst []float64, j int) {
-	e.checkThresholded()
-	e.checkVec("ColumnThresholdedInto", "dst", dst)
-	e.checkIndex("ColumnThresholdedInto", j)
-	e.acquire("ColumnThresholdedInto")
-	defer e.release()
-	defer e.rec.Phase("model/column")()
-	e.rec.Add("model/columns", 1)
-	start := time.Now()
-	e.columnInto(dst, j, true)
+	e.sc.unit[j] = 1
+	defer e.sc.clearUnit(j)
+	e.applyInto(e.sc, dst, gw, e.sc.unit)
 	e.mColumn.Observe(time.Since(start).Seconds())
 }
 
 // QColumnInto materializes native column j of Q itself (not the full
-// operator) into dst. Q columns always come from the stored float64 model,
-// regardless of serving mode: they describe the artifact, not the serving
-// kernels.
+// operator) into dst.
 func (e *Engine) QColumnInto(dst []float64, j int) {
 	e.checkVec("QColumnInto", "dst", dst)
 	e.checkIndex("QColumnInto", j)
@@ -568,60 +357,6 @@ func (e *Engine) backwardInto(sc *scratch, dst, x []float64) {
 // growPool ensures at least w per-worker scratch streams exist.
 func (e *Engine) growPool(w int) {
 	for len(e.pool) < w {
-		e.pool = append(e.pool, newScratch(e.m, e.mode))
-	}
-}
-
-// ApplyBatchPerColumnInto is the bitwise-reference ablation of the batched
-// apply: it fans the batch out column by column over the worker pool,
-// re-streaming the matrices once per column exactly as ApplyInto does. The
-// panel path (ApplyBatchInto / ApplyPanelInto) replaces it on the hot path;
-// this entry point remains so benchmarks and tests can pin the panel
-// kernels against the per-column arithmetic.
-func (e *Engine) ApplyBatchPerColumnInto(dst, xs [][]float64, workers int) {
-	e.validateBatch("ApplyBatchPerColumnInto", dst, xs)
-	e.acquire("ApplyBatchPerColumnInto")
-	defer e.release()
-	if len(xs) == 0 {
-		return
-	}
-	w := par.Workers(workers)
-	e.growPool(w)
-	defer e.rec.Phase("model/apply_batch")()
-	e.rec.Add("model/batch_cols", int64(len(xs)))
-	sp := e.tr.Begin("model/apply_batch").Arg("cols", len(xs)).Arg("workers", w)
-	defer sp.End()
-	e.batch = batchState{dst: dst, xs: xs, sp: sp}
-	start := time.Now()
-	par.DoWorker(workers, len(xs), e.batchFn)
-	e.mBatch.Observe(time.Since(start).Seconds())
-	e.batch = batchState{}
-}
-
-// validateBatch runs the per-column and aliasing checks of a batched apply
-// up front, before any fan-out, so a mis-sized or aliased batch panics on
-// the calling goroutine with the offending column named — never from inside
-// a pool worker.
-func (e *Engine) validateBatch(method string, dst, xs [][]float64) {
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("model: %s: %d output columns for %d inputs", method, len(dst), len(xs)))
-	}
-	for i := range xs {
-		e.checkCol(method, "xs", i, xs[i])
-		e.checkCol(method, "dst", i, dst[i])
-	}
-	for i := range dst {
-		for j := range xs {
-			if &dst[i][0] == &xs[j][0] {
-				panic(fmt.Sprintf("model: %s: dst[%d] aliases xs[%d] (outputs overwrite "+
-					"their buffers while inputs are still being read; pass distinct buffers)", method, i, j))
-			}
-		}
-		for j := i + 1; j < len(dst); j++ {
-			if &dst[i][0] == &dst[j][0] {
-				panic(fmt.Sprintf("model: %s: dst[%d] and dst[%d] are the same buffer "+
-					"(each output column needs its own)", method, i, j))
-			}
-		}
+		e.pool = append(e.pool, newScratch(e.m))
 	}
 }

@@ -32,61 +32,6 @@ func expectPanic(t *testing.T, want []string, f func()) {
 	f()
 }
 
-// TestApplyBatchIntoValidatesColumns is the regression test for the batch
-// validation bug: ApplyBatchInto used to check only len(dst) == len(xs), so
-// a short, long or nil column blew up later inside a worker goroutine (an
-// unrecoverable process crash under workers > 1) with no hint of which
-// column was wrong. Every mis-sized column must now panic up front, on the
-// caller, naming the column.
-func TestApplyBatchIntoValidatesColumns(t *testing.T) {
-	res := extract256(t, core.LowRank)
-	eng := model.NewEngine(res.Model())
-	n := res.N()
-	cols := func() [][]float64 {
-		vs := make([][]float64, 3)
-		for i := range vs {
-			vs[i] = probeVec(n, i)
-		}
-		return vs
-	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			good := cols()
-			dst := cols()
-			eng.ApplyBatchInto(dst, good, workers) // sane batch passes
-
-			cases := []struct {
-				name   string
-				mutate func(dst, xs [][]float64)
-				want   []string
-			}{
-				{"short input", func(_, xs [][]float64) { xs[1] = xs[1][:n-1] },
-					[]string{"ApplyBatchInto", "xs[1]", fmt.Sprint(n - 1), fmt.Sprint(n)}},
-				{"long input", func(_, xs [][]float64) { xs[2] = append(xs[2], 0) },
-					[]string{"ApplyBatchInto", "xs[2]", fmt.Sprint(n + 1)}},
-				{"nil input", func(_, xs [][]float64) { xs[0] = nil },
-					[]string{"ApplyBatchInto", "xs[0]", "nil"}},
-				{"short output", func(dst, _ [][]float64) { dst[0] = dst[0][:1] },
-					[]string{"ApplyBatchInto", "dst[0]", "1"}},
-				{"nil output", func(dst, _ [][]float64) { dst[2] = nil },
-					[]string{"ApplyBatchInto", "dst[2]", "nil"}},
-				{"count mismatch", func(dst, _ [][]float64) { dst[2] = dst[1] }, nil}, // see below
-			}
-			for _, tc := range cases[:len(cases)-1] {
-				t.Run(tc.name, func(t *testing.T) {
-					dst, xs := cols(), cols()
-					tc.mutate(dst, xs)
-					expectPanic(t, tc.want, func() { eng.ApplyBatchInto(dst, xs, workers) })
-				})
-			}
-			t.Run("count mismatch", func(t *testing.T) {
-				expectPanic(t, []string{"ApplyBatchInto", "2", "3"},
-					func() { eng.ApplyBatchInto(cols()[:2], cols(), workers) })
-			})
-		})
-	}
-}
-
 // TestApplyIntoValidatesVectors pins the clearer single-RHS messages: the
 // argument at fault and both lengths, instead of the old blanket
 // "apply dimension mismatch".
@@ -100,12 +45,12 @@ func TestApplyIntoValidatesVectors(t *testing.T) {
 		func() { eng.ApplyInto(out, x[:n-3]) })
 	expectPanic(t, []string{"ApplyInto", "dst", "nil"},
 		func() { eng.ApplyInto(nil, x) })
-	expectPanic(t, []string{"ApplyThresholdedInto", "x", fmt.Sprint(n - 1)},
-		func() { eng.ApplyThresholdedInto(out, x[:n-1]) })
+	expectPanic(t, []string{"ApplyPanelInto", "x", fmt.Sprint(n - 1)},
+		func() { eng.ApplyPanelInto(out, x[:n-1], 1, 1, true) })
 	expectPanic(t, []string{"ColumnInto", "column", fmt.Sprint(n)},
-		func() { eng.ColumnInto(out, n) })
+		func() { eng.ColumnInto(out, n, false) })
 	expectPanic(t, []string{"ColumnInto", "dst", "4"},
-		func() { eng.ColumnInto(out[:4], 0) })
+		func() { eng.ColumnInto(out[:4], 0, true) })
 	expectPanic(t, []string{"QColumnInto", "column"},
 		func() { eng.QColumnInto(out, -1) })
 

@@ -7,30 +7,20 @@ import (
 )
 
 // Fingerprint hashes the exact bit patterns of deterministic probe applies —
-// one single-RHS ApplyInto (plus ApplyThresholdedInto when the model carries
-// a thresholded Gwt) and one 3-column ApplyBatch — with FNV-1a. The probe
-// vectors depend only on the contact count, so every bitwise-faithful
-// serving path over the same operator (the in-memory extraction result, a
-// decoded .scm artifact, a subserve daemon) reports the same value, for any
-// worker count.
-//
-// Only ModeExact engines may fingerprint: the dense and float32 serving
-// modes change apply rounding (summation order, precision), so hashing their
-// outputs would report a value that matches no artifact. Exactness checks
-// must run on an exact engine over the same model instead.
+// one single-RHS ApplyInto (plus its thresholded twin when the model carries
+// a Gwt) and one 3-column ApplyPanelInto — with FNV-1a. The probe vectors
+// depend only on the contact count, so every bitwise-faithful serving path
+// over the same operator (the in-memory extraction result, a decoded .scm
+// artifact, a subserve daemon) reports the same value, for any worker count.
 func (e *Engine) Fingerprint(workers int) uint64 {
-	if e.mode != ModeExact {
-		panic("model: Fingerprint requires an exact-mode engine (mode " + e.mode.String() +
-			" changes apply rounding and would hash to a value matching no artifact)")
-	}
 	n := e.m.N
-	probe := func(shift int) []float64 {
-		x := make([]float64, n)
-		for i := range x {
+	x := make([]float64, 3*n)
+	y := make([]float64, 3*n)
+	probe := func(dst []float64, shift int) {
+		for i := range dst {
 			// Pure integer arithmetic: reproducible across platforms.
-			x[i] = float64((i*2654435761+shift*40503)%1024)/512 - 1
+			dst[i] = float64((i*2654435761+shift*40503)%1024)/512 - 1
 		}
-		return x
 	}
 	h := fnv.New64a()
 	var b [8]byte
@@ -40,24 +30,23 @@ func (e *Engine) Fingerprint(workers int) uint64 {
 			h.Write(b[:])
 		}
 	}
-	out := make([]float64, n)
-	e.ApplyInto(out, probe(0))
-	mix(out)
+	probe(x[:n], 0)
+	e.ApplyInto(y[:n], x[:n])
+	mix(y[:n])
 	if e.m.Gwt != nil {
-		e.ApplyThresholdedInto(out, probe(0))
-		mix(out)
+		e.ApplyPanelInto(y[:n], x[:n], 1, 1, true)
+		mix(y[:n])
 	}
-	for _, y := range e.ApplyBatch([][]float64{probe(1), probe(2), probe(3)}, workers) {
-		mix(y)
+	for c := 0; c < 3; c++ {
+		probe(x[c*n:(c+1)*n], c+1)
 	}
+	e.ApplyPanelInto(y, x, 3, workers, false)
+	mix(y)
 	return h.Sum64()
 }
 
-// FingerprintOf computes the content fingerprint of m on a throwaway
-// exact-mode engine. It is the content address the serving registry keys
-// versions by: callers holding a non-exact serving configuration still need
-// the exact fingerprint, because it identifies the artifact, not the
-// serving kernels.
+// FingerprintOf computes the content fingerprint of m on a throwaway engine.
+// It is the content address the serving registry keys versions by.
 func FingerprintOf(m *Model, workers int) uint64 {
 	return NewEngine(m).Fingerprint(workers)
 }

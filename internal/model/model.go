@@ -304,10 +304,3 @@ func (m *Model) Apply(x []float64) []float64 {
 	NewEngine(m).ApplyInto(out, x)
 	return out
 }
-
-// ApplyThresholded is Apply with the thresholded Gwt.
-func (m *Model) ApplyThresholded(x []float64) []float64 {
-	out := make([]float64, m.N)
-	NewEngine(m).ApplyThresholdedInto(out, x)
-	return out
-}

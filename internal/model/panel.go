@@ -9,23 +9,22 @@ import (
 	"subcouple/internal/sparse"
 )
 
-// Panel applies: true multi-RHS serving kernels.
+// Panel applies: the multi-RHS serving kernels.
 //
 // A panel packs k right-hand sides column-major — column c of an n×k panel
 // occupies p[c*n : (c+1)*n] — so one sweep over Gw's CSR structure and one
 // sweep over Q's columns (or one pass down the factored level chain) touch
-// all k RHS, instead of re-streaming the matrices k times as the per-column
-// fan-out (ApplyBatchPerColumnInto) does. On the serving layouts Gw is the
-// dominant stream (hundreds of KB of CSR data per apply), so amortizing it
-// across the batch is where the batched-apply speedup comes from, even on a
-// single core.
+// all k RHS, instead of re-streaming the matrices k times as k single
+// applies do. On the serving layouts Gw is the dominant stream (hundreds of
+// KB of CSR data per apply), so amortizing it across the panel is where the
+// batched-apply speedup comes from, even on a single core.
 //
 // Per column the arithmetic is the exact accumulation sequence of the
-// single-RHS kernels — same terms, same order — so in ModeExact every panel
-// column is bitwise identical to ApplyInto on that column, for any panel
-// width, chunking, and worker count. Parallelism only partitions the panel
-// into contiguous column chunks, each computed independently on its own
-// scratch; the worker slot never influences a result.
+// single-RHS kernel — same terms, same order — so every panel column is
+// bitwise identical to ApplyInto on that column, for any panel width,
+// chunking, and worker count. Parallelism only partitions the panel into
+// contiguous column chunks, each computed independently on its own scratch;
+// the worker slot never influences a result.
 
 // checkPanelArgs validates a public panel apply's arguments: positive width,
 // exact n·k lengths, and the no-aliasing contract.
@@ -48,12 +47,14 @@ func (e *Engine) checkPanelArgs(method string, dst, x []float64, k int) {
 	}
 }
 
-// ApplyPanelInto computes dst = Q·Gw·Qᵀ·X for a column-major n×k panel X
+// ApplyPanelInto computes dst = Q·Gw·Qᵀ·X (Q·Gwt·Qᵀ·X when thresholded;
+// panics when the model carries no Gwt) for a column-major n×k panel X
 // (column c at x[c*n:(c+1)*n]), writing the same layout into dst. dst may
-// not alias x. Column c of dst is bitwise identical to ApplyInto on column c
-// of x, for any worker count. Steady-state calls allocate nothing once the
-// per-worker scratch is warm.
-func (e *Engine) ApplyPanelInto(dst, x []float64, k, workers int) {
+// not alias x. Column c of dst is bitwise identical to the single-RHS apply
+// of column c of x, for any worker count. Steady-state calls allocate
+// nothing once the per-worker scratch is warm.
+func (e *Engine) ApplyPanelInto(dst, x []float64, k, workers int, thresholded bool) {
+	gw := e.gw(thresholded)
 	e.checkPanelArgs("ApplyPanelInto", dst, x, k)
 	e.acquire("ApplyPanelInto")
 	defer e.release()
@@ -62,70 +63,29 @@ func (e *Engine) ApplyPanelInto(dst, x []float64, k, workers int) {
 	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
-	e.panelRun(dst, x, false, k, workers, sp)
-	e.mPanel.Observe(time.Since(start).Seconds())
-}
-
-// ApplyPanelThresholdedInto is ApplyPanelInto with the thresholded Gwt
-// (panics when the model carries none).
-func (e *Engine) ApplyPanelThresholdedInto(dst, x []float64, k, workers int) {
-	e.checkThresholded()
-	e.checkPanelArgs("ApplyPanelThresholdedInto", dst, x, k)
-	e.acquire("ApplyPanelThresholdedInto")
-	defer e.release()
-	defer e.rec.Phase("model/apply_panel")()
-	e.rec.Add("model/panel_cols", int64(k))
-	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
-	defer sp.End()
-	start := time.Now()
-	e.panelRun(dst, x, true, k, workers, sp)
+	e.panelRun(dst, x, gw, k, workers, sp)
 	e.mPanel.Observe(time.Since(start).Seconds())
 }
 
 // panelRun partitions a validated panel into contiguous column chunks and
 // fans the chunks over the worker pool. k == 1 short-circuits to the
-// single-RHS kernels — the panel kernels' bitwise reference — so the batched
-// serving path and the one-request path are literally the same code there.
-func (e *Engine) panelRun(dst, x []float64, thresholded bool, k, workers int, sp *obs.Span) {
+// single-RHS kernel — the panel kernels' bitwise reference — so a lone
+// request and a batched one run literally the same code there.
+func (e *Engine) panelRun(dst, x []float64, gw *sparse.Matrix, k, workers int, sp *obs.Span) {
 	if k == 1 {
-		e.applyAny(e.sc, dst, x, thresholded)
+		e.applyInto(e.sc, dst, gw, x)
 		return
 	}
-	w := par.Workers(workers)
-	if w > k {
-		w = k
-	}
+	w := min(par.Workers(workers), k)
 	chunk := (k + w - 1) / w
 	nch := (k + chunk - 1) / chunk
 	e.growPool(nch)
 	for i := 0; i < nch; i++ {
-		e.pool[i].ensurePanel(e.m, e.mode, chunk)
+		e.pool[i].ensurePanel(e.m, chunk)
 	}
-	e.panel = panelState{dst: dst, x: x, k: k, chunk: chunk, thresholded: thresholded, sp: sp}
+	e.panel = panelState{dst: dst, x: x, k: k, chunk: chunk, gw: gw, sp: sp}
 	par.DoWorker(w, nch, e.panelFn)
 	e.panel = panelState{}
-}
-
-// applyPanelAny runs one panel chunk through the mode's kernel family. A
-// width-1 chunk routes through the single-RHS kernels so the chunked result
-// cannot depend on how the panel was partitioned.
-func (e *Engine) applyPanelAny(sc *scratch, dst, x []float64, thresholded bool, k int) {
-	if k == 1 {
-		e.applyAny(sc, dst, x, thresholded)
-		return
-	}
-	switch e.mode {
-	case ModeDense:
-		e.dense.applyPanel(dst, x, thresholded, k)
-	case ModeFloat32:
-		e.applyPanel32(sc.f32, dst, x, thresholded, k)
-	default:
-		gw := e.m.Gw
-		if thresholded {
-			gw = e.m.Gwt
-		}
-		e.applyPanel(sc, dst, x, gw, k)
-	}
 }
 
 // applyPanel is the float64 multi-RHS operator: the three-stage
@@ -135,8 +95,14 @@ func (e *Engine) applyPanelAny(sc *scratch, dst, x []float64, thresholded bool, 
 // Within every (basis column, panel column) pair the accumulation replicates
 // applyInto exactly — register sum assigned once in stage 1, CSR-row order
 // in stage 2, the wc != 0 guarded scatter in stage 3 — which is what keeps
-// panel columns bitwise identical to single applies.
+// panel columns bitwise identical to single applies. A width-1 chunk runs
+// the single-RHS kernel itself, so the chunked result cannot depend on how
+// the panel was partitioned.
 func (e *Engine) applyPanel(sc *scratch, dst, x []float64, gw *sparse.Matrix, k int) {
+	if k == 1 {
+		e.applyInto(sc, dst, gw, x)
+		return
+	}
 	n := e.m.N
 	switch e.m.Kind {
 	case QColumns:
@@ -355,51 +321,4 @@ func (e *Engine) backwardPanel(sc *scratch, dst, x []float64, k int) {
 		cur, nxt = nxt, cur
 	}
 	copy(dst, cur)
-}
-
-// ApplyBatch applies the model to a batch of input vectors and returns the
-// freshly allocated outputs. Prefer ApplyBatchInto (or ApplyPanelInto, which
-// skips the slice-of-slices marshalling entirely) on hot paths.
-func (e *Engine) ApplyBatch(xs [][]float64, workers int) [][]float64 {
-	dst := make([][]float64, len(xs))
-	for i := range dst {
-		dst[i] = make([]float64, e.m.N)
-	}
-	e.ApplyBatchInto(dst, xs, workers)
-	return dst
-}
-
-// ApplyBatchInto computes dst[i] = Q·Gw·Qᵀ·xs[i] for every column of the
-// batch. Every column and output must have length N; dst columns may not
-// alias inputs or each other (xs columns may repeat — reads don't conflict).
-// The batch is packed into a column-major panel and served by the panel
-// kernels, so each output column is bitwise identical to ApplyInto on its
-// input for any worker count, and steady-state calls allocate nothing once
-// the pack buffers and per-worker scratch are warm.
-func (e *Engine) ApplyBatchInto(dst, xs [][]float64, workers int) {
-	e.validateBatch("ApplyBatchInto", dst, xs)
-	e.acquire("ApplyBatchInto")
-	defer e.release()
-	if len(xs) == 0 {
-		return
-	}
-	n, k := e.m.N, len(xs)
-	if len(e.px) < n*k {
-		e.px = make([]float64, n*k)
-		e.py = make([]float64, n*k)
-	}
-	px, py := e.px[:n*k], e.py[:n*k]
-	for i, x := range xs {
-		copy(px[i*n:(i+1)*n], x)
-	}
-	defer e.rec.Phase("model/apply_batch")()
-	e.rec.Add("model/batch_cols", int64(k))
-	sp := e.tr.Begin("model/apply_batch").Arg("cols", k).Arg("workers", par.Workers(workers))
-	defer sp.End()
-	start := time.Now()
-	e.panelRun(py, px, false, k, workers, sp)
-	e.mBatch.Observe(time.Since(start).Seconds())
-	for i := range dst {
-		copy(dst[i], py[i*n:(i+1)*n])
-	}
 }

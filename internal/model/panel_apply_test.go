@@ -20,11 +20,10 @@ func packPanel(n int, xs [][]float64) []float64 {
 }
 
 // TestApplyPanelBitwise is the panel kernels' central contract: every column
-// of ApplyPanelInto (and of the panel-backed ApplyBatchInto, and of the
-// per-column ablation ApplyBatchPerColumnInto) is bitwise identical to
-// ApplyInto on that column, for both Q representations, thresholded or not,
-// at every worker count — the batched serving path must be invisible in the
-// response bytes.
+// of ApplyPanelInto is bitwise identical to ApplyInto on that column (and,
+// thresholded, to the width-1 panel, which runs the same single-RHS kernel
+// over Gwt), for both Q representations at every worker count — the batched
+// serving path must be invisible in the response bytes.
 func TestApplyPanelBitwise(t *testing.T) {
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
 		t.Run(method.String(), func(t *testing.T) {
@@ -42,35 +41,20 @@ func TestApplyPanelBitwise(t *testing.T) {
 					singles[i] = make([]float64, n)
 					singlesT[i] = make([]float64, n)
 					eng.ApplyInto(singles[i], xs[i])
-					eng.ApplyThresholdedInto(singlesT[i], xs[i])
+					eng.ApplyPanelInto(singlesT[i], xs[i], 1, 1, true)
 				}
 				x := packPanel(n, xs)
 				for _, workers := range workerCounts {
 					dst := make([]float64, n*k)
-					eng.ApplyPanelInto(dst, x, k, workers)
+					eng.ApplyPanelInto(dst, x, k, workers, false)
 					for c := 0; c < k; c++ {
 						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d ApplyPanelInto col %d", k, workers, c),
 							dst[c*n:(c+1)*n], singles[c])
 					}
-					eng.ApplyPanelThresholdedInto(dst, x, k, workers)
+					eng.ApplyPanelInto(dst, x, k, workers, true)
 					for c := 0; c < k; c++ {
-						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d ApplyPanelThresholdedInto col %d", k, workers, c),
+						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d thresholded ApplyPanelInto col %d", k, workers, c),
 							dst[c*n:(c+1)*n], singlesT[c])
-					}
-
-					batch := make([][]float64, k)
-					for i := range batch {
-						batch[i] = make([]float64, n)
-					}
-					eng.ApplyBatchInto(batch, xs, workers)
-					for c := 0; c < k; c++ {
-						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d ApplyBatchInto col %d", k, workers, c),
-							batch[c], singles[c])
-					}
-					eng.ApplyBatchPerColumnInto(batch, xs, workers)
-					for c := 0; c < k; c++ {
-						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d ApplyBatchPerColumnInto col %d", k, workers, c),
-							batch[c], singles[c])
 					}
 				}
 			}
@@ -79,8 +63,9 @@ func TestApplyPanelBitwise(t *testing.T) {
 }
 
 // TestApplyPanelValidates pins the panel argument checks: bad widths,
-// mis-sized panels, and the aliasing contract all panic up front with the
-// method and sizes named, and a recovered panic leaves the engine usable.
+// mis-sized panels, the aliasing contract and a missing Gwt all panic up
+// front with the method and sizes named, and a recovered panic leaves the
+// engine usable.
 func TestApplyPanelValidates(t *testing.T) {
 	res := extract256(t, core.LowRank)
 	eng := model.NewEngine(res.Model())
@@ -89,17 +74,26 @@ func TestApplyPanelValidates(t *testing.T) {
 	dst := make([]float64, 2*n)
 
 	expectPanic(t, []string{"ApplyPanelInto", "width 0"},
-		func() { eng.ApplyPanelInto(dst[:0], x[:0], 0, 1) })
+		func() { eng.ApplyPanelInto(dst[:0], x[:0], 0, 1, false) })
 	expectPanic(t, []string{"ApplyPanelInto", "x", fmt.Sprint(2*n - 1)},
-		func() { eng.ApplyPanelInto(dst, x[:2*n-1], 2, 1) })
+		func() { eng.ApplyPanelInto(dst, x[:2*n-1], 2, 1, false) })
 	expectPanic(t, []string{"ApplyPanelInto", "dst", fmt.Sprint(n)},
-		func() { eng.ApplyPanelInto(dst[:n], x, 2, 1) })
+		func() { eng.ApplyPanelInto(dst[:n], x, 2, 1, false) })
 	expectPanic(t, []string{"ApplyPanelInto", "aliases"},
-		func() { eng.ApplyPanelInto(x, x, 2, 1) })
-	expectPanic(t, []string{"ApplyPanelThresholdedInto", "aliases"},
-		func() { eng.ApplyPanelThresholdedInto(x, x, 2, 1) })
+		func() { eng.ApplyPanelInto(x, x, 2, 1, false) })
+	expectPanic(t, []string{"ApplyPanelInto", "aliases"},
+		func() { eng.ApplyPanelInto(x, x, 2, 1, true) })
 
-	eng.ApplyPanelInto(dst, x, 2, 1) // still serviceable
+	noGwt := *res.Model()
+	noGwt.Gwt = nil
+	bare := model.NewEngine(&noGwt)
+	expectPanic(t, []string{"no thresholded representation"},
+		func() { bare.ApplyPanelInto(dst, x, 2, 1, true) })
+	expectPanic(t, []string{"no thresholded representation"},
+		func() { bare.ColumnInto(dst[:n], 0, true) })
+
+	eng.ApplyPanelInto(dst, x, 2, 1, false) // still serviceable
+	bare.ApplyPanelInto(dst, x, 2, 1, false)
 }
 
 // TestApplyAliasPanics is the regression test for the unenforced "dst may
@@ -113,20 +107,13 @@ func TestApplyAliasPanics(t *testing.T) {
 	x := probeVec(n, 1)
 
 	expectPanic(t, []string{"ApplyInto", "aliases"}, func() { eng.ApplyInto(x, x) })
-	expectPanic(t, []string{"ApplyThresholdedInto", "aliases"},
-		func() { eng.ApplyThresholdedInto(x, x) })
+	expectPanic(t, []string{"ApplyPanelInto", "aliases"},
+		func() { eng.ApplyPanelInto(x, x, 1, 1, true) })
 
-	xs := [][]float64{probeVec(n, 1), probeVec(n, 2)}
-	dst := [][]float64{make([]float64, n), make([]float64, n)}
-	expectPanic(t, []string{"ApplyBatchInto", "dst[1]", "xs[0]"},
-		func() { eng.ApplyBatchInto([][]float64{dst[0], xs[0]}, xs, 1) })
-	expectPanic(t, []string{"ApplyBatchInto", "dst[0]", "dst[1]", "same buffer"},
-		func() { eng.ApplyBatchInto([][]float64{dst[0], dst[0]}, xs, 1) })
-
-	// Repeated *inputs* are fine (reads never conflict) — only outputs may
-	// not overlap inputs or each other.
-	eng.ApplyBatchInto(dst, [][]float64{xs[0], xs[0]}, 1)
-	bitwiseEqual(t, "repeated inputs", dst[0], dst[1])
+	// Repeated input columns are fine (reads never conflict).
+	dst := make([]float64, 2*n)
+	eng.ApplyPanelInto(dst, packPanel(n, [][]float64{x, x}), 2, 1, false)
+	bitwiseEqual(t, "repeated inputs", dst[:n], dst[n:])
 }
 
 // TestColumnPanicLeavesUnitClean is the regression test for the dirty
@@ -152,8 +139,8 @@ func TestColumnPanicLeavesUnitClean(t *testing.T) {
 			ref := make([]float64, n)
 			refT := make([]float64, n)
 			refQ := make([]float64, n)
-			eng.ColumnInto(ref, 5)
-			eng.ColumnThresholdedInto(refT, 5)
+			eng.ColumnInto(ref, 5, false)
+			eng.ColumnInto(refT, 5, true)
 			eng.QColumnInto(refQ, 5)
 			dst := make([]float64, n)
 
@@ -161,17 +148,17 @@ func TestColumnPanicLeavesUnitClean(t *testing.T) {
 			// recover, heal, and demand the next column bitwise.
 			saved := m.Gw.ColIdx[0]
 			m.Gw.ColIdx[0] = -1
-			expectPanic(t, []string{"index out of range"}, func() { eng.ColumnInto(dst, 3) })
+			expectPanic(t, []string{"index out of range"}, func() { eng.ColumnInto(dst, 3, false) })
 			m.Gw.ColIdx[0] = saved
-			eng.ColumnInto(dst, 5)
+			eng.ColumnInto(dst, 5, false)
 			bitwiseEqual(t, "ColumnInto after recovered panic", dst, ref)
 
 			savedT := m.Gwt.ColIdx[0]
 			m.Gwt.ColIdx[0] = -1
-			expectPanic(t, []string{"index out of range"}, func() { eng.ColumnThresholdedInto(dst, 3) })
+			expectPanic(t, []string{"index out of range"}, func() { eng.ColumnInto(dst, 3, true) })
 			m.Gwt.ColIdx[0] = savedT
-			eng.ColumnThresholdedInto(dst, 5)
-			bitwiseEqual(t, "ColumnThresholdedInto after recovered panic", dst, refT)
+			eng.ColumnInto(dst, 5, true)
+			bitwiseEqual(t, "thresholded ColumnInto after recovered panic", dst, refT)
 
 			// QColumnInto's factored branch arms the unit vector too: corrupt
 			// a block output coordinate so the forward chain panics mid-walk.
@@ -200,12 +187,12 @@ func TestColumnRecorderKeys(t *testing.T) {
 	eng.SetObs(rec, nil)
 	n := res.N()
 	dst := make([]float64, n)
-	eng.ColumnInto(dst, 0)
-	eng.ColumnThresholdedInto(dst, 1)
+	eng.ColumnInto(dst, 0, false)
+	eng.ColumnInto(dst, 1, true)
 	eng.QColumnInto(dst, 2)
 	panel := packPanel(n, [][]float64{probeVec(n, 1), probeVec(n, 2)})
 	out := make([]float64, 2*n)
-	eng.ApplyPanelInto(out, panel, 2, 1)
+	eng.ApplyPanelInto(out, panel, 2, 1, false)
 
 	snap := rec.Snapshot()
 	phases := map[string]int64{}
@@ -224,29 +211,25 @@ func TestColumnRecorderKeys(t *testing.T) {
 }
 
 // TestPanelSteadyStateAllocs extends the zero-allocation contract to the
-// panel paths: once the pack buffers and scratch are warm, ApplyPanelInto
-// and ApplyBatchInto allocate nothing per call (workers=1 — the inline
-// par.Do path — with no recorder, like the serving daemon's hot loop).
+// panel path: once the scratch is warm, ApplyPanelInto allocates nothing per
+// call, thresholded or not (workers=1 — the inline par.Do path — with no
+// recorder, like the serving daemon's hot loop).
 func TestPanelSteadyStateAllocs(t *testing.T) {
 	res := extract256(t, core.Wavelet)
 	eng := model.NewEngine(res.Model())
 	n := res.N()
 	const k = 16
 	xs := make([][]float64, k)
-	dstB := make([][]float64, k)
 	for i := range xs {
 		xs[i] = probeVec(n, i)
-		dstB[i] = make([]float64, n)
 	}
 	x := packPanel(n, xs)
 	dst := make([]float64, n*k)
 
-	eng.ApplyPanelInto(dst, x, k, 1) // warm scratch
-	if avg := testing.AllocsPerRun(20, func() { eng.ApplyPanelInto(dst, x, k, 1) }); avg != 0 {
-		t.Fatalf("ApplyPanelInto allocates %v per call in steady state, want 0", avg)
-	}
-	eng.ApplyBatchInto(dstB, xs, 1) // warm pack buffers
-	if avg := testing.AllocsPerRun(20, func() { eng.ApplyBatchInto(dstB, xs, 1) }); avg != 0 {
-		t.Fatalf("ApplyBatchInto allocates %v per call in steady state, want 0", avg)
+	for _, thresholded := range []bool{false, true} {
+		eng.ApplyPanelInto(dst, x, k, 1, thresholded) // warm scratch
+		if avg := testing.AllocsPerRun(20, func() { eng.ApplyPanelInto(dst, x, k, 1, thresholded) }); avg != 0 {
+			t.Fatalf("ApplyPanelInto(thresholded=%v) allocates %v per call in steady state, want 0", thresholded, avg)
+		}
 	}
 }

@@ -56,7 +56,7 @@ func bitwiseEqual(t *testing.T, what string, a, b []float64) {
 
 // TestRoundTripBitwise is the central serving guarantee: an artifact that went
 // through Encode→Decode applies bitwise identically to the in-memory Result it
-// came from, for both Q representations, single-RHS and batched, thresholded
+// came from, for both Q representations, single-RHS and panel, thresholded
 // and not, at any worker count.
 func TestRoundTripBitwise(t *testing.T) {
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
@@ -100,26 +100,27 @@ func TestRoundTripBitwise(t *testing.T) {
 			bitwiseEqual(t, "Apply", got, want)
 
 			wantT := res.ApplyThresholded(x)
-			eng.ApplyThresholdedInto(got, x)
+			eng.ApplyPanelInto(got, x, 1, 1, true)
 			bitwiseEqual(t, "ApplyThresholded", got, wantT)
 
 			for _, j := range []int{0, 7, m.N - 1} {
 				wantCol := res.Column(j)
-				eng.ColumnInto(got, j)
+				eng.ColumnInto(got, j, false)
 				bitwiseEqual(t, fmt.Sprintf("Column(%d)", j), got, wantCol)
+				wantCol = res.ColumnThresholded(j)
+				eng.ColumnInto(got, j, true)
+				bitwiseEqual(t, fmt.Sprintf("ColumnThresholded(%d)", j), got, wantCol)
 			}
 
-			// Batched applies must match the single-RHS path bitwise for any
+			// Panel applies must match the single-RHS path bitwise for any
 			// worker count.
 			xs := [][]float64{probeVec(m.N, 1), probeVec(m.N, 2), probeVec(m.N, 3), probeVec(m.N, 4)}
-			singles := make([][]float64, len(xs))
-			for i, xi := range xs {
-				singles[i] = res.Apply(xi)
-			}
+			panel := make([]float64, len(xs)*m.N)
 			for _, workers := range []int{1, 4} {
-				batch := eng.ApplyBatch(xs, workers)
-				for i := range xs {
-					bitwiseEqual(t, fmt.Sprintf("ApplyBatch[%d] workers=%d", i, workers), batch[i], singles[i])
+				eng.ApplyPanelInto(panel, packPanel(m.N, xs), len(xs), workers, false)
+				for i, xi := range xs {
+					bitwiseEqual(t, fmt.Sprintf("ApplyPanelInto[%d] workers=%d", i, workers),
+						panel[i*m.N:(i+1)*m.N], res.Apply(xi))
 				}
 			}
 		})

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"subcouple/internal/serve/registry"
 )
 
 // applyError maps serving errors to status codes: refusal while draining
@@ -21,9 +23,9 @@ import (
 // server faults the way the old single serve/errors counter let them.
 func (s *Server) applyError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrClosed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case errors.Is(err, registry.ErrClosed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, ErrApplyPanic):
+	case errors.Is(err, registry.ErrApplyPanic):
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -16,6 +16,7 @@ import (
 	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 )
 
 // privateModel returns a deep copy of the cached test model, safe to corrupt
@@ -51,13 +52,9 @@ func phaseCalls(snap obs.Snapshot, name string) int64 {
 // bitwise-correct results.
 func TestFlushPanicRecovery(t *testing.T) {
 	m := privateModel(t, core.LowRank)
-	p, err := serve.NewPool(m, 1, model.EngineOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A wide window so the two concurrent requests below fuse into one
-	// flush and exercise the panel path, not just the k == 1 case.
-	b := serve.NewBatcher(p, 200*time.Millisecond, 4, 1, nil, nil)
+	// flush and exercise a width-2 panel, not just the k == 1 case.
+	b := registry.NewBatcher(registry.NewPool(m, 1, nil, nil), 200*time.Millisecond, 4, 1, nil, nil)
 	defer b.Close()
 
 	saved := m.Gw.ColIdx[0]
@@ -132,76 +129,10 @@ func TestColumnAndFingerprintPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]float64, served.N)
-	model.NewEngine(served).ColumnInto(want, 3)
+	model.NewEngine(served).ColumnInto(want, 3, false)
 	bitwiseEqual(t, "column after recovered panic", ar.Y, want)
 	if status, _ := get("/fingerprint?model=" + name); status != http.StatusOK {
 		t.Fatalf("/fingerprint after restore: %d", status)
-	}
-}
-
-// TestServeModes wires the serving modes through the daemon: /apply answers
-// exactly what a direct engine in the same mode computes, /models reports
-// the mode and the artifact's exact fingerprint, and /fingerprint refuses
-// with 400 because non-exact kernels would hash to a value matching no
-// artifact.
-func TestServeModes(t *testing.T) {
-	m := testModel(t, core.LowRank)
-	exactFP := fmt.Sprintf("%016x", model.NewEngine(m).Fingerprint(1))
-
-	for _, mode := range []model.Mode{model.ModeDense, model.ModeFloat32} {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, ts, name := newTestServer(t, m, serve.Options{
-				PoolSize: 1, Window: 200 * time.Microsecond, Mode: mode,
-			})
-
-			ref, err := model.NewEngineOpts(m, model.EngineOptions{Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := probeVec(m.N, 2)
-			want := make([]float64, m.N)
-			ref.ApplyInto(want, x)
-			bitwiseEqual(t, mode.String()+" /apply", postJSON(t, ts, name, x, false), want)
-			ref.ApplyThresholdedInto(want, x)
-			bitwiseEqual(t, mode.String()+" thresholded /apply", postJSON(t, ts, name, x, true), want)
-
-			resp, err := http.Get(ts.URL + "/models")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var infos []map[string]any
-			if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if infos[0]["mode"] != mode.String() {
-				t.Fatalf("/models mode %v, want %s", infos[0]["mode"], mode)
-			}
-			if infos[0]["fingerprint"] != exactFP {
-				t.Fatalf("/models fingerprint %v, want the artifact's exact hash %s", infos[0]["fingerprint"], exactFP)
-			}
-
-			resp, err = http.Get(ts.URL + "/fingerprint?model=" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "exact") {
-				t.Fatalf("/fingerprint in %s mode: %d %q, want 400 naming exactness", mode, resp.StatusCode, body)
-			}
-		})
-	}
-}
-
-// TestDenseModeOverBudgetRefusesToServe: an over-budget dense registration
-// fails loudly at AddModel instead of silently materializing.
-func TestDenseModeOverBudgetRefusesToServe(t *testing.T) {
-	m := testModel(t, core.LowRank)
-	s := serve.New(serve.Options{Mode: model.ModeDense, DenseBudget: m.N})
-	err := s.AddModel("m", m)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("over-budget dense AddModel: %v, want a budget error", err)
 	}
 }
 

@@ -243,14 +243,14 @@ func getPanel(size int) *[]float64 {
 	return p
 }
 
-// flush runs one batch on a pool engine and completes every request in it.
-// A multi-request batch is packed into one column-major panel and handed
-// straight to the engine's panel kernels — one sweep over the model
-// structure computes every column; a lone request goes through the
-// single-RHS path (the panel kernels reduce to it anyway at k == 1).
-// Panics (engine misuse, impossible dimensions — all pre-validated, so this
-// is a backstop) are converted to errors instead of killing the daemon, and
-// the deferred Put returns the engine to the pool on every path.
+// flush runs one batch on a pool engine and completes every request in it:
+// one ApplyPanelInto call for any width, so one sweep over the model
+// structure computes every column. A multi-request batch is packed into a
+// column-major panel; a lone request is its own width-1 panel and is
+// applied straight into its dst, with nothing copied. Panics (engine
+// misuse, impossible dimensions — all pre-validated, so this is a backstop)
+// are converted to errors instead of killing the daemon, and the deferred
+// Put returns the engine to the pool on every path.
 func (b *Batcher) flush(batch []*applyReq) {
 	defer b.flights.Done()
 	err := func() (err error) {
@@ -274,30 +274,22 @@ func (b *Batcher) flush(batch []*applyReq) {
 		}
 		sp := b.tr.Begin("serve/flush").Arg("cols", len(batch))
 		defer sp.End()
-		if len(batch) == 1 {
-			r := batch[0]
-			if r.thresholded {
-				eng.ApplyThresholdedInto(r.dst, r.x)
-			} else {
-				eng.ApplyInto(r.dst, r.x)
+		n, k := b.pool.Model().N, len(batch)
+		dst, x := batch[0].dst, batch[0].x
+		if k > 1 {
+			xp, yp := getPanel(n*k), getPanel(n*k)
+			defer panelPool.Put(xp)
+			defer panelPool.Put(yp)
+			dst, x = *yp, *xp
+			for i, r := range batch {
+				copy(x[i*n:(i+1)*n], r.x)
 			}
-			return nil
 		}
-		n := b.pool.Model().N
-		k := len(batch)
-		xp, yp := getPanel(n*k), getPanel(n*k)
-		defer panelPool.Put(xp)
-		defer panelPool.Put(yp)
-		for i, r := range batch {
-			copy((*xp)[i*n:(i+1)*n], r.x)
-		}
-		if batch[0].thresholded {
-			eng.ApplyPanelThresholdedInto(*yp, *xp, k, b.workers)
-		} else {
-			eng.ApplyPanelInto(*yp, *xp, k, b.workers)
-		}
-		for i, r := range batch {
-			copy(r.dst, (*yp)[i*n:(i+1)*n])
+		eng.ApplyPanelInto(dst, x, k, b.workers, batch[0].thresholded)
+		if k > 1 {
+			for i, r := range batch {
+				copy(r.dst, dst[i*n:(i+1)*n])
+			}
 		}
 		return nil
 	}()

@@ -85,7 +85,7 @@ var (
 
 // Options configures the serving machinery the registry builds per alias
 // activation. The zero value is usable (NumCPU engines, immediate flushes,
-// DefaultMaxBatch, exact mode, no telemetry).
+// DefaultMaxBatch, no telemetry).
 type Options struct {
 	// PoolSize is the number of engines (the concurrency limit) per
 	// activation; <= 0 selects runtime.NumCPU().
@@ -99,13 +99,6 @@ type Options struct {
 	// Workers is the engine worker count for batched applies (0 = all CPUs);
 	// responses are bitwise identical for any value.
 	Workers int
-	// Mode selects the serving kernels for every engine in every pool. The
-	// content fingerprint is always the exact one: it identifies the
-	// artifact, not the serving kernels.
-	Mode model.Mode
-	// DenseBudget caps dense-mode materialization (<= 0 selects
-	// model.DefaultDenseBudget). Ignored outside ModeDense.
-	DenseBudget int
 	// Recorder, Tracer and Metrics receive lifecycle + serving telemetry;
 	// all may be nil.
 	Recorder *obs.Recorder
@@ -261,10 +254,6 @@ func New(opt Options) *Registry {
 	return r
 }
 
-// Options returns the registry's configuration (the serving mode the HTTP
-// layer reports per /models row lives here).
-func (r *Registry) Options() Options { return r.opt }
-
 // Snapshot returns the current immutable view: one atomic load, zero
 // allocations — safe to call on every request.
 func (r *Registry) Snapshot() *Snapshot { return r.snap.Load() }
@@ -387,17 +376,13 @@ func (r *Registry) Swap(alias string, fp uint64) (SwapResult, error) {
 		return SwapResult{}, fmt.Errorf("registry: empty alias")
 	}
 	// Build the serving machinery optimistically outside the mutex: pool
-	// construction allocates engines (dense mode may materialize G), which
-	// must never stall concurrent swaps of other aliases or the mutating
-	// path generally.
+	// construction allocates engines, which must never stall concurrent
+	// swaps of other aliases or the mutating path generally.
 	ver := r.Snapshot().versions[fp]
 	if ver == nil {
 		return SwapResult{}, fmt.Errorf("%w: %016x", ErrUnknownVersion, fp)
 	}
-	act, err := r.newActive(alias, ver)
-	if err != nil {
-		return SwapResult{}, err
-	}
+	act := r.newActive(alias, ver)
 
 	r.mu.Lock()
 	snap := r.Snapshot()
@@ -438,13 +423,8 @@ func (r *Registry) Swap(alias string, fp uint64) (SwapResult, error) {
 }
 
 // newActive builds one alias activation: pool, batcher, telemetry labels.
-func (r *Registry) newActive(alias string, ver *Version) (*Active, error) {
-	pool, err := NewPool(ver.m, r.opt.PoolSize,
-		model.EngineOptions{Mode: r.opt.Mode, DenseBudget: r.opt.DenseBudget},
-		r.opt.Recorder, r.opt.Tracer)
-	if err != nil {
-		return nil, fmt.Errorf("registry: alias %q: %w", alias, err)
-	}
+func (r *Registry) newActive(alias string, ver *Version) *Active {
+	pool := NewPool(ver.m, r.opt.PoolSize, r.opt.Recorder, r.opt.Tracer)
 	act := &Active{
 		ver:     ver,
 		alias:   alias,
@@ -457,7 +437,7 @@ func (r *Registry) newActive(alias string, ver *Version) (*Active, error) {
 		act.pool.SetMetrics(r.opt.Metrics, alias)
 		act.batcher.SetMetrics(r.opt.Metrics, alias)
 	}
-	return act, nil
+	return act
 }
 
 // Unload removes a version from the content store. It refuses with

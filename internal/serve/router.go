@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve/registry"
 )
@@ -18,8 +17,7 @@ import (
 // Prometheus metric family names for the HTTP layer, exposed by GET
 // /metrics. Exported so the CI scrape check, cmd/benchreport and tests
 // grep/read the same spellings the server registers. (The pool, batcher and
-// registry families live in internal/serve/registry and are re-exported
-// from compat.go.)
+// registry families live in internal/serve/registry.)
 const (
 	// Per-endpoint HTTP telemetry, labeled {endpoint, code} / {endpoint}.
 	MetricHTTPRequests   = "subserve_http_requests_total"
@@ -232,7 +230,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			GwNNZ:       m.Gw.NNZ(),
 			Thresholded: m.Gwt != nil,
 			PoolSize:    act.Pool().Size(),
-			Mode:        s.opt.Mode.String(),
+			Mode:        "exact",
 			Fingerprint: fmt.Sprintf("%016x", act.Fingerprint()),
 		}
 		if m.Gwt != nil {
@@ -439,11 +437,7 @@ func (s *Server) handleColumn(w http.ResponseWriter, r *http.Request) {
 				err = fmt.Errorf("column panic: %v", r)
 			}
 		}()
-		if thresholded {
-			eng.ColumnThresholdedInto(y, j)
-		} else {
-			eng.ColumnInto(y, j)
-		}
+		eng.ColumnInto(y, j, thresholded)
 		return nil
 	}(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -459,18 +453,10 @@ func (s *Server) handleColumn(w http.ResponseWriter, r *http.Request) {
 // handleFingerprint recomputes the deterministic probe-apply hash through a
 // live pool engine, so the value reflects the serving path as it is right
 // now (and must equal both the load-time /models value and what
-// `subx -load` prints for the same artifact). It is an exactness check by
-// construction, so non-exact serving modes are refused with 400: their
-// rounding differs and the hash would match no artifact (the load-time
-// exact fingerprint is still available from /models).
+// `subx -load` prints for the same artifact).
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	act := s.lookup(w, s.reg.Snapshot(), r.URL.Query().Get("model"))
 	if act == nil {
-		return
-	}
-	if s.opt.Mode != model.ModeExact {
-		http.Error(w, fmt.Sprintf("fingerprint requires exact serving kernels; daemon is in %s mode (see /models for the load-time exact fingerprint)", s.opt.Mode),
-			http.StatusBadRequest)
 		return
 	}
 	ctx, cancel := s.reqCtx(r)

@@ -23,6 +23,7 @@ import (
 	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 	"subcouple/internal/solver"
 )
 
@@ -74,12 +75,7 @@ func probeVec(n, shift int) []float64 {
 // direct computes the reference y on a fresh, private engine.
 func direct(m *model.Model, x []float64, thresholded bool) []float64 {
 	y := make([]float64, m.N)
-	e := model.NewEngine(m)
-	if thresholded {
-		e.ApplyThresholdedInto(y, x)
-	} else {
-		e.ApplyInto(y, x)
-	}
+	model.NewEngine(m).ApplyPanelInto(y, x, 1, 1, thresholded)
 	return y
 }
 
@@ -196,7 +192,7 @@ func TestColumnEndpoint(t *testing.T) {
 	eng := model.NewEngine(m)
 	want := make([]float64, m.N)
 	for _, j := range []int{0, 7, m.N - 1} {
-		eng.ColumnInto(want, j)
+		eng.ColumnInto(want, j, false)
 		resp, err := http.Get(fmt.Sprintf("%s/column?model=%s&j=%d", ts.URL, name, j))
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +206,7 @@ func TestColumnEndpoint(t *testing.T) {
 		resp.Body.Close()
 		bitwiseEqual(t, fmt.Sprintf("column %d", j), ar.Y, want)
 
-		eng.ColumnThresholdedInto(want, j)
+		eng.ColumnInto(want, j, true)
 		resp, err = http.Get(fmt.Sprintf("%s/column?model=%s&j=%d&thresholded=1&format=raw", ts.URL, name, j))
 		if err != nil {
 			t.Fatal(err)
@@ -348,10 +344,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
 		}(c)
 	}
-	// Wait until every request has been admitted into the open batch, then
-	// begin the drain while the window is still pending.
+	// Wait until every request has been admitted into the open batch (the
+	// handler-entry request counter runs ahead of admission), then begin
+	// the drain while the window is still pending.
 	deadline := time.Now().Add(10 * time.Second)
-	for rec.Snapshot().Counters["serve/req_apply"] < clients && time.Now().Before(deadline) {
+	for s.QueueDepth() < clients && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	done := make(chan struct{})
@@ -511,10 +508,7 @@ func TestRequestValidation(t *testing.T) {
 // cancellation while exhausted, and the double-Put guard.
 func TestPoolCheckout(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	p, err := serve.NewPool(m, 2, model.EngineOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := registry.NewPool(m, 2, nil, nil)
 	if p.Size() != 2 {
 		t.Fatalf("pool size %d, want 2", p.Size())
 	}
@@ -554,11 +548,7 @@ func TestPoolCheckout(t *testing.T) {
 // poisons a batch.
 func TestBatcherRejectsBadDimensions(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	p, err := serve.NewPool(m, 1, model.EngineOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := serve.NewBatcher(p, 0, 4, 1, nil, nil)
+	b := registry.NewBatcher(registry.NewPool(m, 1, nil, nil), 0, 4, 1, nil, nil)
 	defer b.Close()
 
 	ctx := context.Background()
