@@ -70,6 +70,78 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}
 }
 
+// TestMetricsFlagOff pins -metrics=false: the daemon still serves applies
+// bitwise equal to a direct engine, /metrics is not routed at all, and
+// SIGTERM still ends in a clean exit.
+func TestMetricsFlagOff(t *testing.T) {
+	path, m := saveTestArtifact(t, "nometrics.scm")
+	addrCh := make(chan net.Addr, 1)
+	onListen = func(a net.Addr) { addrCh <- a }
+	defer func() { onListen = nil }()
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run([]string{"-model", path, "-addr", "127.0.0.1:0", "-pool", "1", "-metrics=false"}, io.Discard)
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-addrCh:
+	case err := <-runErr:
+		t.Fatalf("daemon exited before listening: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never bound its listener")
+	}
+	base := "http://" + addr.String()
+
+	x := make([]float64, m.N)
+	for i := range x {
+		x[i] = float64(i%11) - 5
+	}
+	body, _ := json.Marshal(map[string]any{"x": x})
+	resp, err := http.Post(base+"/apply", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/apply with -metrics=false: %d: %s", resp.StatusCode, raw)
+	}
+	var ar struct {
+		Y []float64 `json:"y"`
+	}
+	if err := json.Unmarshal(raw, &ar); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, m.N)
+	model.NewEngine(m).ApplyInto(want, x)
+	for i := range want {
+		if ar.Y[i] != want[i] {
+			t.Fatalf("y[%d] = %v, want %v (not bitwise identical)", i, ar.Y[i], want[i])
+		}
+	}
+
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics with -metrics=false: %d, want 404", resp.StatusCode)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("SIGTERM exit: %v, want clean nil", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
 // TestDaemonLifecycle runs the real daemon end to end: load an artifact,
 // serve concurrent /apply requests bitwise-faithfully, then deliver an
 // actual SIGTERM and require run() to drain and return nil (the clean-exit

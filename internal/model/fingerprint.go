@@ -7,11 +7,12 @@ import (
 )
 
 // Fingerprint hashes the exact bit patterns of deterministic probe applies —
-// one single-RHS ApplyInto (plus its thresholded twin when the model carries
-// a Gwt) and one 3-column ApplyPanelInto — with FNV-1a. The probe vectors
-// depend only on the contact count, so every bitwise-faithful serving path
-// over the same operator (the in-memory extraction result, a decoded .scm
-// artifact, a subserve daemon) reports the same value, for any worker count.
+// one single-RHS ApplyInto (plus the same probe through Gwt when the model
+// carries one) and one 3-column ApplyPanelInto — with FNV-1a. The probe
+// vectors depend only on the contact count, so every bitwise-faithful
+// serving path over the same operator (the in-memory extraction result, a
+// decoded .scm artifact, a subserve daemon) reports the same value, for any
+// worker count.
 func (e *Engine) Fingerprint(workers int) uint64 {
 	n := e.m.N
 	x := make([]float64, 3*n)

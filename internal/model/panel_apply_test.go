@@ -64,8 +64,9 @@ func TestApplyPanelBitwise(t *testing.T) {
 
 // TestApplyPanelValidates pins the panel argument checks: bad widths,
 // mis-sized panels, the aliasing contract and a missing Gwt all panic up
-// front with the method and sizes named, and a recovered panic leaves the
-// engine usable.
+// front, on the caller, with the method and sizes named — at workers > 1 a
+// panic inside a pool worker would kill the process instead — and a
+// recovered panic leaves the engine usable.
 func TestApplyPanelValidates(t *testing.T) {
 	res := extract256(t, core.LowRank)
 	eng := model.NewEngine(res.Model())
@@ -73,16 +74,18 @@ func TestApplyPanelValidates(t *testing.T) {
 	x := packPanel(n, [][]float64{probeVec(n, 1), probeVec(n, 2)})
 	dst := make([]float64, 2*n)
 
-	expectPanic(t, []string{"ApplyPanelInto", "width 0"},
-		func() { eng.ApplyPanelInto(dst[:0], x[:0], 0, 1, false) })
-	expectPanic(t, []string{"ApplyPanelInto", "x", fmt.Sprint(2*n - 1)},
-		func() { eng.ApplyPanelInto(dst, x[:2*n-1], 2, 1, false) })
-	expectPanic(t, []string{"ApplyPanelInto", "dst", fmt.Sprint(n)},
-		func() { eng.ApplyPanelInto(dst[:n], x, 2, 1, false) })
-	expectPanic(t, []string{"ApplyPanelInto", "aliases"},
-		func() { eng.ApplyPanelInto(x, x, 2, 1, false) })
-	expectPanic(t, []string{"ApplyPanelInto", "aliases"},
-		func() { eng.ApplyPanelInto(x, x, 2, 1, true) })
+	for _, workers := range []int{1, 4} {
+		expectPanic(t, []string{"ApplyPanelInto", "width 0"},
+			func() { eng.ApplyPanelInto(dst[:0], x[:0], 0, workers, false) })
+		expectPanic(t, []string{"ApplyPanelInto", "x", fmt.Sprint(2*n - 1)},
+			func() { eng.ApplyPanelInto(dst, x[:2*n-1], 2, workers, false) })
+		expectPanic(t, []string{"ApplyPanelInto", "dst", fmt.Sprint(n)},
+			func() { eng.ApplyPanelInto(dst[:n], x, 2, workers, false) })
+		expectPanic(t, []string{"ApplyPanelInto", "aliases"},
+			func() { eng.ApplyPanelInto(x, x, 2, workers, false) })
+		expectPanic(t, []string{"ApplyPanelInto", "aliases"},
+			func() { eng.ApplyPanelInto(x, x, 2, workers, true) })
+	}
 
 	noGwt := *res.Model()
 	noGwt.Gwt = nil

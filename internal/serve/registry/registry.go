@@ -318,7 +318,7 @@ func copyVersions(src map[uint64]*Version) map[uint64]*Version {
 // predicate. Load does not build serving machinery — Swap does, when an
 // alias is pointed at the version.
 func (r *Registry) Load(m *model.Model) (fp uint64, created bool, err error) {
-	// The fingerprint is a few probe applies on a throwaway exact engine —
+	// The fingerprint is a few probe applies on a throwaway engine —
 	// deterministic for any worker count — computed outside the mutex so a
 	// slow hash never blocks the request path's writers.
 	fp = model.FingerprintOf(m, r.opt.Workers)
