@@ -203,9 +203,10 @@ func (e *Engine) gw(thresholded bool) *sparse.Matrix {
 }
 
 // ApplyInto computes dst = Q·Gw·Qᵀ·x in place with no allocations: the
-// width-1, unthresholded case of ApplyPanelInto, and the single-RHS
-// reference every panel column is bitwise equal to. dst and x must both
-// have length N, and dst may not alias x (enforced).
+// width-1, unthresholded panel run, which is the single-RHS kernel every
+// panel column is bitwise equal to. It keeps its own argument messages and
+// telemetry names. dst and x must both have length N, and dst may not alias
+// x (enforced).
 func (e *Engine) ApplyInto(dst, x []float64) {
 	e.checkVec("ApplyInto", "dst", dst)
 	e.checkVec("ApplyInto", "x", x)
@@ -215,7 +216,7 @@ func (e *Engine) ApplyInto(dst, x []float64) {
 	defer e.rec.Phase("model/apply")()
 	e.rec.Add("model/applies", 1)
 	start := time.Now()
-	e.applyInto(e.sc, dst, e.m.Gw, x)
+	e.panelRun(dst, x, e.m.Gw, 1, 1, nil)
 	e.mApply.Observe(time.Since(start).Seconds())
 }
 
