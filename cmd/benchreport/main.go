@@ -38,30 +38,21 @@
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"subcouple/internal/core"
 	"subcouple/internal/experiments"
-	"subcouple/internal/gateway"
 	"subcouple/internal/geom"
 	"subcouple/internal/metrics"
-	"subcouple/internal/model"
 	"subcouple/internal/obs"
-	"subcouple/internal/serve"
 	"subcouple/internal/solver"
 )
 
@@ -78,12 +69,6 @@ type benchRow struct {
 	SecondsPerOp float64 `json:"seconds_per_op"` // best of reps
 	MeanSeconds  float64 `json:"mean_seconds"`
 	Solves       int     `json:"solves"`
-	// P50Seconds/P99Seconds are per-request latency quantiles scraped from
-	// the live serving metrics registry over the timed rounds (ServeApply
-	// row only) — the same histogram GET /metrics exposes, so the benchmark
-	// and production observability measure with one instrument.
-	P50Seconds float64 `json:"p50_seconds,omitempty"`
-	P99Seconds float64 `json:"p99_seconds,omitempty"`
 }
 
 // benchFile is the whole BENCH_extract.json document.
@@ -375,42 +360,6 @@ func run(out string, short bool, reps int) error {
 		rows = append(rows, row)
 	}
 
-	// End-to-end daemon throughput: the same applies through subserve's HTTP
-	// stack (codec, engine pool, micro-batcher).
-	serveRow, err := timeServe(res, reps)
-	if err != nil {
-		return err
-	}
-	log.Printf("%-16s %8.3gs/op (best of %d), %d solves", serveRow.Name, serveRow.SecondsPerOp, reps, serveRow.Solves)
-	rows = append(rows, serveRow)
-
-	// Fleet-gateway overhead: the same 8-client raw-apply load, but through
-	// subgate's proxy sharding across two replicas — pricing the extra hop
-	// (body buffering, power-of-two-choices pick, relay) against ServeApply.
-	gateRow, err := timeGateway(res, reps)
-	if err != nil {
-		return err
-	}
-	log.Printf("%-16s %8.3gs/op (best of %d), %d solves", gateRow.Name, gateRow.SecondsPerOp, reps, gateRow.Solves)
-	rows = append(rows, gateRow)
-
-	// Hot-swap latency: the same HTTP load while the registry flips the
-	// alias between two versions, pricing what a model rollout costs the
-	// p99. The second version is the wavelet extraction of the same case, so
-	// the flip crosses genuinely different content.
-	resW, err := core.Extract(s, c.Layout, core.Options{
-		Method: core.Wavelet, MaxLevel: c.MaxLevel,
-	})
-	if err != nil {
-		return err
-	}
-	swapRow, err := timeHotSwap(res.Model(), resW.Model(), reps)
-	if err != nil {
-		return err
-	}
-	log.Printf("%-16s %8.3gs/op (best of %d), p99 %.3gs across swaps", swapRow.Name, swapRow.SecondsPerOp, reps, swapRow.P99Seconds)
-	rows = append(rows, swapRow)
-
 	doc := benchFile{
 		Schema:     benchSchema,
 		GoVersion:  runtime.Version(),
@@ -493,300 +442,6 @@ func timeApply(res *core.Result, reps int) []benchRow {
 		{Name: "ApplySingle", Method: method, Workers: 1, Reps: reps, SecondsPerOp: single, MeanSeconds: single},
 		{Name: "ApplyPanel16", Method: method, Workers: 0, Reps: reps, SecondsPerOp: panel, MeanSeconds: panel},
 	}
-}
-
-// timeServe benchmarks the HTTP serving path end to end: a serve.Server
-// (engine pool + micro-batcher, the same stack cmd/subserve runs) behind an
-// httptest listener, driven by 8 concurrent clients posting raw float64-LE
-// /apply bodies. One op is one served apply, so the row prices the full
-// request path — HTTP, codec, pool checkout, batch coalescing — not just
-// the engine kernel timed by ApplySingle/ApplyPanel16. Zero substrate
-// solves, gated like the other apply rows.
-func timeServe(res *core.Result, reps int) (benchRow, error) {
-	ms := obs.NewMetrics()
-	srv := serve.New(serve.Options{Window: 200 * time.Microsecond, Metrics: ms})
-	if err := srv.AddModel("bench", res.Model()); err != nil {
-		return benchRow{}, err
-	}
-	srv.SetReady(true)
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	n := res.N()
-	body := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(float64(i%13)-6))
-	}
-	const clients = 8
-	const itersPerClient = 25
-	oneRound := func() error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < itersPerClient; i++ {
-					resp, err := http.Post(ts.URL+"/apply", "application/octet-stream", bytes.NewReader(body))
-					if err != nil {
-						errCh <- err
-						return
-					}
-					out, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						errCh <- fmt.Errorf("serve apply: status %d: %s", resp.StatusCode, out)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return err
-		default:
-			return nil
-		}
-	}
-	if err := oneRound(); err != nil { // warm connections, pool, and scratch
-		return benchRow{}, err
-	}
-	// The Server registered this histogram when it built its handler; the
-	// lookup returns the same handle, and diffing snapshots around the timed
-	// rounds windows the quantiles to exclude the warm-up.
-	applyLat := ms.Histogram(serve.MetricLatencySeconds, "", "endpoint", "apply")
-	warm := applyLat.Snapshot()
-	row := benchRow{Name: "ServeApply", Method: res.Method.String(), Workers: clients, Reps: reps}
-	var total float64
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := oneRound(); err != nil {
-			return benchRow{}, err
-		}
-		perOp := time.Since(start).Seconds() / (clients * itersPerClient)
-		total += perOp
-		if r == 0 || perOp < row.SecondsPerOp {
-			row.SecondsPerOp = perOp
-		}
-	}
-	row.MeanSeconds = total / float64(reps)
-	win := applyLat.Snapshot().Sub(warm)
-	row.P50Seconds = win.Quantile(0.50)
-	row.P99Seconds = win.Quantile(0.99)
-	return row, nil
-}
-
-// timeGateway benchmarks the fleet path end to end: two serve.Server
-// replicas of the same model behind an internal/gateway proxy (the stack
-// cmd/subgate runs), driven by the same 8-client raw-apply load as
-// timeServe. One op is one gatewayed apply, so GatewayApply − ServeApply is
-// the price of the hop: request buffering, the p2c pick, the proxied
-// round-trip, and the full-response relay. Quantiles come from the
-// gateway's own latency histogram, windowed past the warm-up round.
-func timeGateway(res *core.Result, reps int) (benchRow, error) {
-	const replicas = 2
-	backends := make([]gateway.Backend, 0, replicas)
-	for i := 0; i < replicas; i++ {
-		srv := serve.New(serve.Options{Window: 200 * time.Microsecond})
-		if err := srv.AddModel("bench", res.Model()); err != nil {
-			return benchRow{}, err
-		}
-		srv.SetReady(true)
-		defer srv.Close()
-		rts := httptest.NewServer(srv.Handler())
-		defer rts.Close()
-		backends = append(backends, gateway.Backend{
-			Alias: "bench", Addr: strings.TrimPrefix(rts.URL, "http://"),
-		})
-	}
-	ms := obs.NewMetrics()
-	gw, err := gateway.New(backends, gateway.Options{Metrics: ms})
-	if err != nil {
-		return benchRow{}, err
-	}
-	defer gw.Close()
-	gw.ProbeOnce()
-	ts := httptest.NewServer(gw.Handler())
-	defer ts.Close()
-
-	n := res.N()
-	body := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(float64(i%13)-6))
-	}
-	const clients = 8
-	const itersPerClient = 25
-	oneRound := func() error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < itersPerClient; i++ {
-					resp, err := http.Post(ts.URL+"/apply", "application/octet-stream", bytes.NewReader(body))
-					if err != nil {
-						errCh <- err
-						return
-					}
-					out, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						errCh <- fmt.Errorf("gateway apply: status %d: %s", resp.StatusCode, out)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return err
-		default:
-			return nil
-		}
-	}
-	if err := oneRound(); err != nil { // warm connections, replica pools, scratch
-		return benchRow{}, err
-	}
-	applyLat := ms.Histogram(gateway.MetricLatencySeconds, "", "endpoint", "apply")
-	warm := applyLat.Snapshot()
-	row := benchRow{Name: "GatewayApply", Method: res.Method.String(), Workers: clients, Reps: reps}
-	var total float64
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := oneRound(); err != nil {
-			return benchRow{}, err
-		}
-		perOp := time.Since(start).Seconds() / (clients * itersPerClient)
-		total += perOp
-		if r == 0 || perOp < row.SecondsPerOp {
-			row.SecondsPerOp = perOp
-		}
-	}
-	row.MeanSeconds = total / float64(reps)
-	win := applyLat.Snapshot().Sub(warm)
-	row.P50Seconds = win.Quantile(0.50)
-	row.P99Seconds = win.Quantile(0.99)
-	return row, nil
-}
-
-// timeHotSwap benchmarks /apply latency across hot swaps: the same
-// 8-client raw-apply load as timeServe, but with a swapper goroutine
-// flipping the serving alias between two model versions throughout every
-// timed round. Per-op time and the p50/p99 quantiles therefore include
-// requests that landed mid-flip — the handler's displacement retry and the
-// registry's build-then-flip-then-drain sequence are what is being priced.
-// The row's quantiles come from the same live histogram GET /metrics
-// exposes, windowed past the no-swap warm-up round.
-func timeHotSwap(mA, mB *model.Model, reps int) (benchRow, error) {
-	ms := obs.NewMetrics()
-	srv := serve.New(serve.Options{Window: 200 * time.Microsecond, Metrics: ms})
-	if err := srv.AddModel("bench", mA); err != nil {
-		return benchRow{}, err
-	}
-	reg := srv.Registry()
-	fpB, _, err := reg.Load(mB)
-	if err != nil {
-		return benchRow{}, err
-	}
-	fpA, _ := srv.Fingerprint("bench")
-	srv.SetReady(true)
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	n := mA.N
-	if mB.N != n {
-		return benchRow{}, fmt.Errorf("hot-swap bench: models disagree on contacts (%d vs %d)", n, mB.N)
-	}
-	body := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(float64(i%13)-6))
-	}
-	const clients = 8
-	const itersPerClient = 25
-	oneRound := func() error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < itersPerClient; i++ {
-					resp, err := http.Post(ts.URL+"/apply", "application/octet-stream", bytes.NewReader(body))
-					if err != nil {
-						errCh <- err
-						return
-					}
-					out, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						errCh <- fmt.Errorf("hot-swap apply: status %d: %s", resp.StatusCode, out)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return err
-		default:
-			return nil
-		}
-	}
-	if err := oneRound(); err != nil { // warm connections, pool, and scratch
-		return benchRow{}, err
-	}
-	applyLat := ms.Histogram(serve.MetricLatencySeconds, "", "endpoint", "apply")
-	warm := applyLat.Snapshot()
-
-	row := benchRow{Name: "HotSwap", Method: mA.Method + "<->" + mB.Method, Workers: clients, Reps: reps}
-	var total float64
-	fps := [2]uint64{fpB, fpA}
-	for r := 0; r < reps; r++ {
-		// Swapper: flip the alias for the whole round, with a short pause so
-		// applies land before, during and after each flip.
-		stop := make(chan struct{})
-		swapErr := make(chan error, 1)
-		go func() {
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					swapErr <- nil
-					return
-				default:
-				}
-				if _, err := reg.Swap("bench", fps[i%2]); err != nil {
-					swapErr <- err
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}()
-		start := time.Now()
-		err := oneRound()
-		close(stop)
-		if serr := <-swapErr; err == nil {
-			err = serr
-		}
-		if err != nil {
-			return benchRow{}, err
-		}
-		perOp := time.Since(start).Seconds() / (clients * itersPerClient)
-		total += perOp
-		if r == 0 || perOp < row.SecondsPerOp {
-			row.SecondsPerOp = perOp
-		}
-	}
-	row.MeanSeconds = total / float64(reps)
-	win := applyLat.Snapshot().Sub(warm)
-	row.P50Seconds = win.Quantile(0.50)
-	row.P99Seconds = win.Quantile(0.99)
-	return row, nil
 }
 
 // timeExtract runs the extraction reps times and keeps the best and mean

@@ -77,7 +77,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		addr     = fs.String("addr", ":8080", "HTTP listen address")
 		poolSize = fs.Int("pool", 0, "engines per model = per-model concurrency limit (0 = all CPUs)")
-		window   = fs.Duration("window", 500*time.Microsecond, "micro-batch coalescing window (0 = flush immediately)")
 		maxBatch = fs.Int("maxbatch", registry.DefaultMaxBatch, "max apply requests fused into one batched engine call")
 		workers  = fs.Int("workers", 0, "engine workers per batched apply (0 = all CPUs); responses are identical for any value")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request admission/pool-wait timeout (0 = none)")
@@ -103,7 +102,6 @@ func run(args []string, out io.Writer) error {
 	publishExpvars(ms)
 	srv := serve.New(serve.Options{
 		PoolSize:      *poolSize,
-		Window:        *window,
 		MaxBatch:      *maxBatch,
 		Workers:       *workers,
 		Timeout:       *timeout,
@@ -149,8 +147,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("subserve: %w", err)
 	}
-	log.Printf("serving %d model(s) on http://%s (pool %d, window %v, maxbatch %d)",
-		len(modelPaths), ln.Addr(), par.Workers(*poolSize), *window, *maxBatch)
+	log.Printf("serving %d model(s) on http://%s (pool %d, maxbatch %d)",
+		len(modelPaths), ln.Addr(), par.Workers(*poolSize), *maxBatch)
 	if onListen != nil {
 		onListen(ln.Addr())
 	}

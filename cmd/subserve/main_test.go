@@ -86,7 +86,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	go func() {
 		runErr <- run([]string{
 			"-model", path, "-addr", "127.0.0.1:0",
-			"-pool", "2", "-window", "200us", "-report", reportPath,
+			"-pool", "2", "-report", reportPath,
 		}, io.Discard)
 	}()
 	var addr net.Addr

@@ -1,11 +1,14 @@
 package model_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
+	"subcouple/internal/core"
 	"subcouple/internal/geom"
 	"subcouple/internal/model"
 	"subcouple/internal/sparse"
@@ -57,6 +60,25 @@ func tamper(data []byte, patch func(b []byte)) []byte {
 	patch(b)
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
 	return b
+}
+
+// nanGwArtifact returns the tiny artifact with its first Gw value patched to
+// NaN through tamper, so the checksum holds and only value validation can
+// refuse it.
+func nanGwArtifact(t testing.TB) []byte {
+	t.Helper()
+	data := tinyArtifact(t)
+	var gw []byte
+	for _, v := range tinyModel().Gw.Val {
+		gw = binary.LittleEndian.AppendUint64(gw, math.Float64bits(v))
+	}
+	off := bytes.Index(data, gw)
+	if off < 0 {
+		t.Fatal("Gw values not found in the tiny artifact")
+	}
+	return tamper(data, func(b []byte) {
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(math.NaN()))
+	})
 }
 
 func wantDecodeError(t *testing.T, name string, data []byte, wantSub string) {
@@ -128,6 +150,10 @@ func TestDecodeRejectsCorruptArtifacts(t *testing.T) {
 		wantDecodeError(t, "dimensions", b, "")
 	})
 
+	t.Run("NaN in Gw", func(t *testing.T) {
+		wantDecodeError(t, "non-finite", nanGwArtifact(t), "NaN")
+	})
+
 	t.Run("trailing garbage", func(t *testing.T) {
 		b := append(append([]byte(nil), data[:len(data)-4]...), 0xde, 0xad)
 		b = append(b, make([]byte, 4)...)
@@ -141,10 +167,42 @@ func TestDecodeRejectsCorruptArtifacts(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsInvalidModel: Encode writes no artifact for a model that
+// fails Validate, whether its structure is broken or a NaN or ±Inf sits
+// anywhere in Q, Gw or Gwt.
 func TestEncodeRejectsInvalidModel(t *testing.T) {
-	m := tinyModel()
-	m.Order = []int{0, 0} // not a permutation
-	if _, err := model.Encode(m); err == nil {
-		t.Fatal("encode accepted a model failing Validate")
+	factored, err := model.Decode(mustEncode(t, extract256(t, core.Wavelet).Model()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name string
+		m    *model.Model
+		bad  func(m *model.Model)
+	}{
+		{"order not a permutation", tinyModel(), func(m *model.Model) { m.Order = []int{0, 0} }},
+		{"+Inf in Q columns", tinyModel(), func(m *model.Model) { m.Cols.Val[1] = math.Inf(1) }},
+		{"NaN in a Q block", factored, func(m *model.Model) { m.Levels[0].Blocks[0].Data[0] = math.NaN() }},
+		{"-Inf in Gw", tinyModel(), func(m *model.Model) { m.Gw.Val[1] = math.Inf(-1) }},
+		{"NaN in Gwt", tinyModel(), func(m *model.Model) {
+			m.Gwt = sparse.FromTriplets(2, 2, []sparse.Triplet{{Row: 1, Col: 0, Val: math.NaN()}})
+		}},
+	} {
+		if err := tc.m.Validate(); err != nil {
+			t.Fatalf("%s: model invalid before the change: %v", tc.name, err)
+		}
+		tc.bad(tc.m)
+		if _, err := model.Encode(tc.m); err == nil {
+			t.Fatalf("%s: encode accepted a model failing Validate", tc.name)
+		}
+	}
+}
+
+func mustEncode(t testing.TB, m *model.Model) []byte {
+	t.Helper()
+	data, err := model.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

@@ -30,6 +30,7 @@ func FuzzDecodeModel(f *testing.F) {
 	f.Add(wrongVersion)
 	f.Add([]byte("not a model artifact at all"))
 	f.Add([]byte(model.Magic))
+	f.Add(nanGwArtifact(f)) // checksum intact, NaN in Gw
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := model.Decode(data)

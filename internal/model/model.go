@@ -97,8 +97,9 @@ type Model struct {
 	Meta map[string]string
 }
 
-// Validate cross-checks every dimension and index of the model; Decode calls
-// it on every artifact, and Encode refuses to write a model that fails it.
+// Validate cross-checks every dimension and index of the model and rejects
+// any NaN or ±Inf in Q, Gw and Gwt; Decode calls it on every artifact, and
+// Encode refuses to write a model that fails it.
 func (m *Model) Validate() error {
 	if m.N <= 0 {
 		return fmt.Errorf("model: contact count %d", m.N)
@@ -179,6 +180,9 @@ func (c *Columns) validate(n int) error {
 			return fmt.Errorf("model: column row index %d out of %d", r, n)
 		}
 	}
+	if k := nonFinite(c.Val); k >= 0 {
+		return fmt.Errorf("model: column value %d is %v", k, c.Val[k])
+	}
 	return nil
 }
 
@@ -191,6 +195,9 @@ func (lv *Level) validate(n, li int) error {
 		if len(b.In) != b.Cols || len(b.Out) != b.Rows {
 			return fmt.Errorf("model: level %d block %d index lengths %d/%d for %dx%d",
 				li, bi, len(b.In), len(b.Out), b.Rows, b.Cols)
+		}
+		if k := nonFinite(b.Data); k >= 0 {
+			return fmt.Errorf("model: level %d block %d value %d is %v", li, bi, k, b.Data[k])
 		}
 		for _, i := range b.In {
 			if i < 0 || i >= n {
@@ -242,7 +249,22 @@ func validateCSR(what string, m *sparse.Matrix, n int) error {
 			}
 		}
 	}
+	if k := nonFinite(m.Val); k >= 0 {
+		return fmt.Errorf("model: %s value %d is %v", what, k, m.Val[k])
+	}
 	return nil
+}
+
+// nonFinite returns the index of the first NaN or ±Inf in vals, or -1. A
+// poisoned operator value would spread into every served answer that
+// touches it, so Validate refuses the whole model.
+func nonFinite(vals []float64) int {
+	for k, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return k
+		}
+	}
+	return -1
 }
 
 // GwReordered returns Gw (or Gwt when thresholded) permuted into the

@@ -26,10 +26,9 @@ package obs
 //   - Snapshot returns a JSON-marshalable copy for the expvar mirror and the
 //     run report's serving block.
 //
-// Histograms are cumulative (Prometheus semantics). Windowed views — "p99
-// over the last scrape interval" — come from HistogramSnapshot.Sub: diff two
-// snapshots taken at the window edges and take quantiles of the difference;
-// the daemon itself never has to rotate buckets on the record path.
+// Histograms are cumulative (Prometheus semantics): a scraper that wants a
+// windowed view diffs two scrapes, so the daemon never has to rotate
+// buckets on the record path.
 
 import (
 	"fmt"
@@ -169,7 +168,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) over all samples so far.
-// For a windowed quantile, Sub two snapshots and call Quantile on the diff.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is an immutable copy of a histogram, JSON-marshalable
@@ -179,24 +177,6 @@ type HistogramSnapshot struct {
 	Counts []int64   `json:"counts"` // per-bucket, last entry = overflow
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
-}
-
-// Sub returns the windowed view s − prev (the samples recorded between the
-// two snapshots). Mismatched ladders (or a zero prev) return s unchanged.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	if len(prev.Counts) != len(s.Counts) {
-		return s
-	}
-	d := HistogramSnapshot{
-		Le:     s.Le,
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count - prev.Count,
-		Sum:    s.Sum - prev.Sum,
-	}
-	for i := range s.Counts {
-		d.Counts[i] = s.Counts[i] - prev.Counts[i]
-	}
-	return d
 }
 
 // Quantile estimates the q-quantile by linear interpolation inside the

@@ -123,35 +123,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramSnapshotSub: diffing two snapshots yields the window between
-// them, which is how scrape-interval quantiles are computed without rotating
-// buckets on the record path.
-func TestHistogramSnapshotSub(t *testing.T) {
-	m := NewMetrics()
-	h := m.HistogramBuckets("v", "h", []float64{1, 2, 4})
-	h.Observe(0.5)
-	h.Observe(3)
-	prev := h.Snapshot()
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	win := h.Snapshot().Sub(prev)
-	if win.Count != 10 {
-		t.Fatalf("window count %d, want 10", win.Count)
-	}
-	if math.Abs(win.Sum-15) > 1e-9 {
-		t.Fatalf("window sum %v, want 15", win.Sum)
-	}
-	if got := win.Quantile(0.5); got != 1.5 {
-		t.Fatalf("window p50 %v, want 1.5", got)
-	}
-	// Mismatched ladders fall back to the newer snapshot unchanged.
-	other := m.HistogramBuckets("w", "h", []float64{1}).Snapshot()
-	if s := h.Snapshot().Sub(other); s.Count != 12 {
-		t.Fatalf("mismatched Sub count %d, want 12", s.Count)
-	}
-}
-
 // TestWritePrometheus checks the text exposition: HELP/TYPE headers, label
 // rendering with escaping, cumulative monotone _bucket series ending in a
 // +Inf bucket that equals _count.

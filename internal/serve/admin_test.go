@@ -2,14 +2,16 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"subcouple/internal/core"
 	"subcouple/internal/model"
@@ -34,10 +36,32 @@ func adminPost(t *testing.T, ts *httptest.Server, path, contentType string, body
 	return resp, out
 }
 
+// nanGwArtifact encodes m with its first Gw value patched to NaN and the
+// trailing checksum recomputed, so only value validation can refuse it.
+func nanGwArtifact(t *testing.T, m *model.Model) []byte {
+	t.Helper()
+	data, err := model.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gw []byte
+	for _, v := range m.Gw.Val {
+		gw = binary.LittleEndian.AppendUint64(gw, math.Float64bits(v))
+	}
+	off := bytes.Index(data, gw)
+	if off < 0 {
+		t.Fatal("Gw values not found in the artifact")
+	}
+	binary.LittleEndian.PutUint64(data[off:], math.Float64bits(math.NaN()))
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	return data
+}
+
 // TestAdminLifecycleOverHTTP drives the full admin story over the wire:
 // load a second artifact (raw-bytes body), swap the alias onto it, watch
 // /models report the new fingerprint, unload the displaced version, and
-// hit every refusal (aliased unload 409, unknown 404, bad fingerprint 400).
+// hit every refusal (aliased unload 409, unknown 404, bad fingerprint 400,
+// non-finite artifact 400).
 func TestAdminLifecycleOverHTTP(t *testing.T) {
 	mA := testModel(t, core.LowRank)
 	mB := testModel(t, core.Wavelet)
@@ -142,6 +166,11 @@ func TestAdminLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("unload unknown: %d, want 404", resp.StatusCode)
 	}
 
+	// An artifact with a NaN in Gw (checksum intact) never loads.
+	if resp, out := adminPost(t, ts, "/admin/models", "application/octet-stream", nanGwArtifact(t, mB)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("NaN artifact load: %d %s, want 400", resp.StatusCode, out)
+	}
+
 	// Bad fingerprints and swaps to unknown versions refuse.
 	if resp, _ := adminPost(t, ts, "/admin/swap", "application/json",
 		[]byte(`{"alias":"m","fingerprint":"zzzz"}`)); resp.StatusCode != http.StatusBadRequest {
@@ -239,7 +268,7 @@ func TestAdminRequiresLoopback(t *testing.T) {
 // not exist at all.
 func TestAdminDisabledByDefault(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	_, ts, _ := newTestServer(t, m, serve.Options{PoolSize: 1, Window: 0 * time.Millisecond})
+	_, ts, _ := newTestServer(t, m, serve.Options{PoolSize: 1})
 	resp, _ := adminPost(t, ts, "/admin/swap", "application/json", []byte(`{"alias":"m","fingerprint":"1"}`))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("admin route without Options.Admin: %d, want 404", resp.StatusCode)

@@ -42,13 +42,15 @@ func privateModel(t *testing.T, method core.Method) *model.Model {
 // bitwise-correct results.
 func TestFlushPanicRecovery(t *testing.T) {
 	m := privateModel(t, core.LowRank)
-	// A wide window so the two concurrent requests below fuse into one
-	// flush and exercise a width-2 panel, not just the k == 1 case.
-	b := registry.NewBatcher(registry.NewPool(m, 1, nil), 200*time.Millisecond, 4, 1, nil)
+	ms := obs.NewMetrics()
+	pool := registry.NewPool(m, 1, nil)
+	b := registry.NewBatcher(pool, 4, 1, nil)
+	b.SetMetrics(ms, "m")
 	defer b.Close()
-
-	saved := m.Gw.ColIdx[0]
-	m.Gw.ColIdx[0] = -1 // poison: the next apply indexes out of range
+	// The held engine queues both requests below, so they fuse into one
+	// flush and exercise a width-2 panel, not just the k == 1 case.
+	release := holdEngines(t, pool)
+	defer release()
 
 	ctx := context.Background()
 	errs := make([]error, 2)
@@ -60,11 +62,18 @@ func TestFlushPanicRecovery(t *testing.T) {
 			errs[i] = b.Apply(ctx, make([]float64, m.N), probeVec(m.N, i), false)
 		}(i)
 	}
+	waitQueueDepth(t, b, len(errs))
+	saved := m.Gw.ColIdx[0]
+	m.Gw.ColIdx[0] = -1 // poison: the next apply indexes out of range
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "apply panic") {
 			t.Fatalf("poisoned request %d: err = %v, want an apply-panic error", i, err)
 		}
+	}
+	if bs := ms.Histogram(registry.MetricBatchSize, "", "model", "m"); bs.Count() != 1 || bs.Sum() != 2 {
+		t.Fatalf("poisoned requests flushed as %d batches carrying %v, want one width-2 panel", bs.Count(), bs.Sum())
 	}
 
 	m.Gw.ColIdx[0] = saved
@@ -127,15 +136,15 @@ func TestColumnAndFingerprintPanicRecovery(t *testing.T) {
 }
 
 // TestThresholdedCoalescing pins that thresholded batches now flush through
-// the panel kernels bitwise-identically: concurrent Gwt requests fuse (the
-// batch-size histogram proves it) and every response equals the single-RHS
-// reference.
+// the panel kernels bitwise-identically: Gwt requests queued behind a busy
+// engine fuse (the batch-size histogram proves it) and every response
+// equals the single-RHS reference.
 func TestThresholdedCoalescing(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 1, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
+		PoolSize: 1, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -144,6 +153,8 @@ func TestThresholdedCoalescing(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
+	release := holdServerEngines(t, s, "m")
+	defer release()
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
@@ -154,6 +165,8 @@ func TestThresholdedCoalescing(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), true)
 		}(c)
 	}
+	waitQueueDepth(t, s, clients)
+	release()
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("thresholded client %d", c), results[c], direct(m, probeVec(m.N, c), true))

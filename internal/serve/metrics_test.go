@@ -48,6 +48,19 @@ func getReadyz(t *testing.T, ts *httptest.Server) (int, map[string]any) {
 	return resp.StatusCode, body
 }
 
+// waitDraining polls /readyz until it reports 503 and returns that body.
+func waitDraining(t *testing.T, ts *httptest.Server) map[string]any {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if status, body := getReadyz(t, ts); status == http.StatusServiceUnavailable {
+			return body
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never reported the drain")
+		}
+	}
+}
+
 // TestMetricsDoNotChangeOutputs extends the observability-neutrality
 // invariant to the serve path: with the metrics registry recording every
 // layer, a mixed-codec request stream is answered bitwise identically to a
@@ -56,7 +69,7 @@ func TestMetricsDoNotChangeOutputs(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 300 * time.Microsecond, MaxBatch: 4, Workers: 2, Metrics: obs.NewMetrics(),
+		PoolSize: 2, MaxBatch: 4, Workers: 2, Metrics: obs.NewMetrics(),
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -158,7 +171,7 @@ func TestMetricsExposition(t *testing.T) {
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 50 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
+		PoolSize: 2, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -239,9 +252,8 @@ func TestReadyzShedAndRecover(t *testing.T) {
 	const clients = 3
 	m := testModel(t, core.LowRank)
 	s := serve.New(serve.Options{
-		// A long window holds the admitted requests queued so the depth is
-		// observable; MaxBatch > clients keeps them all in one batch.
-		PoolSize: 1, Window: 1500 * time.Millisecond, MaxBatch: 8,
+		// MaxBatch > clients keeps the queued requests in one batch.
+		PoolSize: 1, MaxBatch: 8,
 		Metrics: obs.NewMetrics(), ShedThreshold: 1,
 	})
 	if err := s.AddModel("m", m); err != nil {
@@ -256,6 +268,10 @@ func TestReadyzShedAndRecover(t *testing.T) {
 		t.Fatalf("idle /readyz: %d %v, want 200 ready", status, body)
 	}
 
+	// The held engine keeps the admitted requests queued so the depth is
+	// observable.
+	release := holdServerEngines(t, s, "m")
+	defer release()
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
 	for c := 0; c < clients; c++ {
@@ -265,15 +281,9 @@ func TestReadyzShedAndRecover(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
 		}(c)
 	}
-	// Wait until every request is admitted into the pending window, then the
-	// depth (3) exceeds the threshold (1) and readiness must shed.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() < clients && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.QueueDepth() < clients {
-		t.Fatalf("queue depth %d never reached %d", s.QueueDepth(), clients)
-	}
+	// Once every request is queued, the depth (3) exceeds the threshold (1)
+	// and readiness must shed.
+	waitQueueDepth(t, s, clients)
 	status, body := getReadyz(t, ts)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("saturated /readyz: %d %v, want 503", status, body)
@@ -286,16 +296,12 @@ func TestReadyzShedAndRecover(t *testing.T) {
 	}
 
 	// Shedding never refuses work: every admitted request completes
-	// correctly, after which readiness recovers on its own.
+	// correctly, after which readiness recovers on its own (a flush uncounts
+	// its batch before it answers).
+	release()
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("shed client %d", c), results[c], direct(m, probeVec(m.N, c), false))
-	}
-	for time.Now().Before(deadline) {
-		if st, _ := getReadyz(t, ts); st == http.StatusOK {
-			break
-		}
-		time.Sleep(time.Millisecond)
 	}
 	status, body = getReadyz(t, ts)
 	if status != http.StatusOK || body["ready"] != true {
@@ -311,15 +317,16 @@ func TestMetricsDuringDrain(t *testing.T) {
 	const clients = 4
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
-	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64, Metrics: ms,
-	})
+	s := serve.New(serve.Options{PoolSize: 2, MaxBatch: 64, Metrics: ms})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
 	}
 	s.SetReady(true)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	// Held engines keep the requests queued until the drain is under way.
+	release := holdServerEngines(t, s, "m")
+	defer release()
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
@@ -330,19 +337,23 @@ func TestMetricsDuringDrain(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
 		}(c)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() < clients && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueDepth(t, s, clients)
 	// Admitted but unflushed: the gauge must already count them.
-	if !strings.Contains(scrape(t, ts), registry.MetricQueueDepth+`{model="m"} `+fmt.Sprint(clients)) {
+	queued := registry.MetricQueueDepth + `{model="m"} ` + fmt.Sprint(clients)
+	if !strings.Contains(scrape(t, ts), queued) {
 		t.Fatalf("queue-depth gauge does not count admitted-but-unflushed requests")
 	}
 
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
-	// The drain is running (Close cuts the window short and flushes);
-	// /metrics must keep answering the whole time.
+	// The drain cannot finish while the engines are held: /metrics answers
+	// mid-drain and still counts the queued requests. Then the engines come
+	// back and /metrics must keep answering until the drain completes.
+	waitDraining(t, ts)
+	if !strings.Contains(scrape(t, ts), queued) {
+		t.Fatalf("queue-depth gauge mid-drain does not count the queued requests")
+	}
+	release()
 drain:
 	for {
 		select {

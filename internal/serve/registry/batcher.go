@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subcouple/internal/model"
 	"subcouple/internal/obs"
 )
 
@@ -26,21 +27,20 @@ var ErrApplyPanic = errors.New("serve: apply panic")
 const DefaultMaxBatch = 32
 
 // Batcher coalesces concurrent Apply requests on one model into single
-// multi-RHS panel applies. The first request opens a batch; the collector
-// goroutine keeps admitting requests until the coalescing window elapses or
-// the batch is full, then packs the batch into one column-major n×k panel
-// and flushes it through Engine.ApplyPanelInto on one engine checked out of
-// the pool. Flushes run concurrently up to the pool size, so a long window
-// never serializes the daemon.
+// multi-RHS panel applies, engine-first: the collector goroutine takes the
+// next request, checks an engine out of the pool, and only then closes the
+// batch with everything else already queued (up to maxBatch, one operator
+// kind). On an idle daemon a lone request therefore runs at once as a
+// width-1 panel; while every engine is busy the queue grows, and the next
+// free engine takes all of it into one Engine.ApplyPanelInto. Flushes run
+// concurrently up to the pool size. No timer ever holds a request back.
 //
 // Coalescing is invisible in the response bytes: the panel kernels compute
 // each column with exactly the single-RHS arithmetic (and are bitwise
 // deterministic for any worker count), so a batched response is identical
-// to the unbatched one. The window only trades a little latency for
-// throughput.
+// to the unbatched one.
 type Batcher struct {
 	pool     *Pool
-	window   time.Duration
 	maxBatch int
 	workers  int
 	tr       *obs.Tracer
@@ -49,11 +49,13 @@ type Batcher struct {
 	idle    chan struct{} // closed when the collector exits
 	flights sync.WaitGroup
 
-	// depth counts admitted-but-not-yet-completed requests (queued in the
-	// window plus in-flight in a flush). It is the queue-depth signal behind
-	// the shedding /readyz. The queue-depth gauge moves by the same deltas,
-	// so a draining activation and the live one sharing an alias's series
-	// add up instead of overwriting each other.
+	// depth counts requests from the moment they pass the closed check
+	// until their flush completes: those waiting to enter reqs while the
+	// collector waits for an engine, those queued in it, and those in a
+	// flush. It is the queue-depth signal behind the shedding /readyz. The
+	// queue-depth gauge moves by the same deltas, so a draining activation
+	// and the live one sharing an alias's series add up instead of
+	// overwriting each other.
 	depth atomic.Int64
 
 	// Live metrics handles (nil without SetMetrics; all nil-safe).
@@ -67,8 +69,8 @@ type Batcher struct {
 }
 
 // applyReq is one enqueued apply: x in, dst out, done fired on completion.
-// enq stamps admission so the flush can observe how long coalescing held
-// the request.
+// enq stamps admission so the flush can observe how long the request
+// waited for an engine.
 type applyReq struct {
 	x, dst      []float64
 	thresholded bool
@@ -76,21 +78,21 @@ type applyReq struct {
 	done        chan error
 }
 
-// NewBatcher starts the collector for pool with the given coalescing window
-// (0 flushes immediately, still fusing whatever is already queued), batch
-// bound (<= 0 selects DefaultMaxBatch) and engine worker count.
-func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int, tr *obs.Tracer) *Batcher {
+// NewBatcher starts the collector for pool with the given batch bound
+// (<= 0 selects DefaultMaxBatch) and engine worker count.
+func NewBatcher(pool *Pool, maxBatch, workers int, tr *obs.Tracer) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	b := &Batcher{
 		pool:     pool,
-		window:   window,
 		maxBatch: maxBatch,
 		workers:  workers,
 		tr:       tr,
-		reqs:     make(chan *applyReq, 2*maxBatch),
-		idle:     make(chan struct{}),
+		// Two batches of slack: a full batch can queue behind the one the
+		// collector is closing before senders start to block.
+		reqs: make(chan *applyReq, 2*maxBatch),
+		idle: make(chan struct{}),
 	}
 	go b.collect()
 	return b
@@ -100,7 +102,7 @@ func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int, tr *obs
 // model name. Call before serving starts; a nil registry leaves everything
 // a no-op.
 func (b *Batcher) SetMetrics(ms *obs.Metrics, name string) {
-	b.mDepth = ms.Gauge(MetricQueueDepth, "applies admitted but not yet completed (window queue + in-flight flushes)", "model", name)
+	b.mDepth = ms.Gauge(MetricQueueDepth, "applies admitted but not yet completed (queued + in-flight flushes)", "model", name)
 	b.mBatch = ms.HistogramBuckets(MetricBatchSize, "requests coalesced into one flush", BatchSizeBuckets, "model", name)
 	b.mWait = ms.Histogram(MetricWindowWaitSeconds, "admission-to-flush wait per request (the latency cost of coalescing)", "model", name)
 	b.mFlushes = ms.Counter(MetricBatchFlushes, "batches flushed through the engine pool", "model", name)
@@ -108,6 +110,12 @@ func (b *Batcher) SetMetrics(ms *obs.Metrics, name string) {
 
 // QueueDepth returns the number of admitted-but-incomplete applies.
 func (b *Batcher) QueueDepth() int { return int(b.depth.Load()) }
+
+// count moves the queue depth and its gauge by delta.
+func (b *Batcher) count(delta int64) {
+	b.depth.Add(delta)
+	b.mDepth.Add(delta)
+}
 
 // Apply computes dst = G·x (Gwt·-based when thresholded) through a coalesced
 // batch, blocking until the batch completes. ctx bounds only admission (the
@@ -132,16 +140,16 @@ func (b *Batcher) Apply(ctx context.Context, dst, x []float64, thresholded bool)
 		b.mu.RUnlock()
 		return ErrClosed
 	}
+	// Count the request before the send: while the collector waits for an
+	// engine it stops reading reqs, and a backlog beyond the channel's
+	// buffer waits right here. Shedding must see it.
+	b.count(1)
 	select {
 	case b.reqs <- req:
-		// Admitted: the request now counts toward queue depth until its
-		// flush completes — shutdown drains admitted work, so depth also
-		// covers the drain window.
-		b.depth.Add(1)
-		b.mDepth.Add(1)
 		b.mu.RUnlock()
 	case <-ctx.Done():
 		b.mu.RUnlock()
+		b.count(-1)
 		return ctx.Err()
 	}
 	return <-req.done
@@ -161,72 +169,48 @@ func (b *Batcher) Close() {
 	b.flights.Wait()
 }
 
-// collect is the batching loop: one batch per iteration, flushed on its own
-// goroutine so gathering the next batch overlaps the current flush.
+// collect is the batching loop. Each iteration takes the next request (or
+// the one carried over from the last batch), waits for a free engine, then
+// drains whatever else is queued without blocking and hands engine and
+// batch to a flush goroutine. Thresholded applies use a different operator
+// (Gwt), so a batch holds one kind only: the first request of the other
+// kind ends the batch and opens the next one.
 func (b *Batcher) collect() {
 	defer close(b.idle)
+	var next *applyReq
 	for {
-		req, ok := <-b.reqs
-		if !ok {
-			return
-		}
-		batch := b.gather(req)
-		b.flights.Add(1)
-		go b.flush(batch)
-	}
-}
-
-// gather admits requests after first until the window elapses, the batch is
-// full, or the queue closes. Thresholded applies use a different operator
-// (Gwt), so a batch holds one kind only: a mismatched arrival flushes into
-// its own next batch via the one-slot handoff below.
-func (b *Batcher) gather(first *applyReq) []*applyReq {
-	batch := make([]*applyReq, 1, b.maxBatch)
-	batch[0] = first
-	var timeout <-chan time.Time
-	if b.window > 0 {
-		timer := time.NewTimer(b.window)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for len(batch) < b.maxBatch {
-		if b.window > 0 {
-			select {
-			case r, ok := <-b.reqs:
-				if !ok {
-					return batch
-				}
-				if r.thresholded != first.thresholded {
-					return b.splitOff(batch, r)
-				}
-				batch = append(batch, r)
-			case <-timeout:
-				return batch
+		first := next
+		if first == nil {
+			r, ok := <-b.reqs
+			if !ok {
+				return
 			}
-		} else {
+			first = r
+		}
+		// Background never ends, so Get cannot fail: an admitted request
+		// always runs.
+		eng, _ := b.pool.Get(context.Background())
+		batch := append(make([]*applyReq, 0, b.maxBatch), first)
+		next = nil
+	fill:
+		for len(batch) < b.maxBatch {
 			select {
 			case r, ok := <-b.reqs:
 				if !ok {
-					return batch
+					break fill
 				}
 				if r.thresholded != first.thresholded {
-					return b.splitOff(batch, r)
+					next = r
+					break fill
 				}
 				batch = append(batch, r)
 			default:
-				return batch
+				break fill
 			}
 		}
+		b.flights.Add(1)
+		go b.flush(eng, batch)
 	}
-	return batch
-}
-
-// splitOff flushes a straggler of the other operator kind as its own batch
-// and ends the current gather.
-func (b *Batcher) splitOff(batch []*applyReq, r *applyReq) []*applyReq {
-	b.flights.Add(1)
-	go b.flush([]*applyReq{r})
-	return batch
 }
 
 // panelPool recycles the column-major pack/unpack buffers used by flush:
@@ -244,27 +228,24 @@ func getPanel(size int) *[]float64 {
 	return p
 }
 
-// flush runs one batch on a pool engine and completes every request in it:
-// one ApplyPanelInto call for any width, so one sweep over the model
-// structure computes every column. A multi-request batch is packed into a
-// column-major panel; a lone request is its own width-1 panel and is
-// applied straight into its dst, with nothing copied. Panics (engine
-// misuse, impossible dimensions — all pre-validated, so this is a backstop)
-// are converted to errors instead of killing the daemon, and the deferred
-// Put returns the engine to the pool on every path.
-func (b *Batcher) flush(batch []*applyReq) {
+// flush runs one batch on the engine the collector checked out and
+// completes every request in it: one ApplyPanelInto call for any width, so
+// one sweep over the model structure computes every column. A
+// multi-request batch is packed into a column-major panel; a lone request
+// is its own width-1 panel and is applied straight into its dst, with
+// nothing copied. Panics (engine misuse, impossible dimensions — all
+// pre-validated, so this is a backstop) are converted to errors instead of
+// killing the daemon, and the deferred Put returns the engine to the pool
+// on every path.
+func (b *Batcher) flush(eng *model.Engine, batch []*applyReq) {
 	defer b.flights.Done()
 	err := func() (err error) {
+		defer b.pool.Put(eng)
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%w: %v", ErrApplyPanic, r)
 			}
 		}()
-		eng, err := b.pool.Get(context.Background())
-		if err != nil {
-			return err
-		}
-		defer b.pool.Put(eng)
 		b.mFlushes.Inc()
 		b.mBatch.Observe(float64(len(batch)))
 		now := time.Now()
@@ -292,8 +273,7 @@ func (b *Batcher) flush(batch []*applyReq) {
 		}
 		return nil
 	}()
-	b.depth.Add(-int64(len(batch)))
-	b.mDepth.Add(-int64(len(batch)))
+	b.count(-int64(len(batch)))
 	for _, r := range batch {
 		r.done <- err
 	}

@@ -84,15 +84,12 @@ var (
 )
 
 // Options configures the serving machinery the registry builds per alias
-// activation. The zero value is usable (NumCPU engines, immediate flushes,
-// DefaultMaxBatch, a private metrics registry).
+// activation. The zero value is usable (NumCPU engines, DefaultMaxBatch, a
+// private metrics registry).
 type Options struct {
 	// PoolSize is the number of engines (the concurrency limit) per
 	// activation; <= 0 selects runtime.NumCPU().
 	PoolSize int
-	// Window is the micro-batching coalescing window; 0 flushes immediately
-	// (still fusing whatever is already queued).
-	Window time.Duration
 	// MaxBatch bounds the columns fused into one flush (<= 0 selects
 	// DefaultMaxBatch).
 	MaxBatch int
@@ -407,7 +404,7 @@ func (r *Registry) Swap(alias string, fp uint64) (SwapResult, error) {
 func (r *Registry) newActive(alias string, ver *Version) *Active {
 	pool := NewPool(ver.m, r.opt.PoolSize, r.opt.Tracer)
 	pool.SetMetrics(r.opt.Metrics, alias)
-	batcher := NewBatcher(pool, r.opt.Window, r.opt.MaxBatch, r.opt.Workers, r.opt.Tracer)
+	batcher := NewBatcher(pool, r.opt.MaxBatch, r.opt.Workers, r.opt.Tracer)
 	batcher.SetMetrics(r.opt.Metrics, alias)
 	return &Active{ver: ver, alias: alias, pool: pool, batcher: batcher}
 }

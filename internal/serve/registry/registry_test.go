@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,7 +292,7 @@ func TestSnapshotReadIsAllocationFree(t *testing.T) {
 // request, but never mix them — and no request may be dropped.
 func TestConcurrentSwapNeverBlends(t *testing.T) {
 	m1, m2 := testModel(t, core.LowRank), testModel(t, core.Wavelet)
-	reg := registry.New(registry.Options{PoolSize: 2, Window: 100 * time.Microsecond})
+	reg := registry.New(registry.Options{PoolSize: 2})
 	fp1, _, err := reg.Load(m1)
 	if err != nil {
 		t.Fatal(err)
@@ -370,4 +371,150 @@ func TestConcurrentSwapNeverBlends(t *testing.T) {
 		t.Fatalf("swaps = %d, want %d", st.Swaps, swaps+1)
 	}
 	reg.Close()
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// heldBatcher returns a batcher over a one-engine pool whose engine the
+// test holds, so every Apply queues until release puts the engine back.
+// Release is idempotent, and cleanup runs it before the batcher's Close,
+// so a failing test cannot hang the drain.
+func heldBatcher(t *testing.T, m *model.Model, maxBatch int, ms *obs.Metrics) (b *registry.Batcher, release func()) {
+	t.Helper()
+	pool := registry.NewPool(m, 1, nil)
+	b = registry.NewBatcher(pool, maxBatch, 1, nil)
+	b.SetMetrics(ms, "m")
+	t.Cleanup(b.Close)
+	eng, err := pool.Get(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { pool.Put(eng) }) }
+	t.Cleanup(release)
+	return b, release
+}
+
+// flushBehindHeldEngine queues one apply per entry of thresholded behind
+// a held engine, in order: each starts only after the one before it is
+// queued, so the collector holds the first while it waits for the engine
+// and the rest sit in the channel in arrival order. It then releases the
+// engine and checks every answer bitwise against a single apply of its
+// operator (ApplyInto for the plain one), and that flushes batches
+// carried them all.
+func flushBehindHeldEngine(t *testing.T, thresholded []bool, flushes int64) {
+	t.Helper()
+	m := testModel(t, core.LowRank)
+	ms := obs.NewMetrics()
+	b, release := heldBatcher(t, m, 8, ms)
+	ys := make([][]float64, len(thresholded))
+	errs := make([]error, len(thresholded))
+	var wg sync.WaitGroup
+	for i, th := range thresholded {
+		ys[i] = make([]float64, m.N)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = b.Apply(context.Background(), ys[i], probeVec(m.N, i), th)
+		}()
+		waitUntil(t, fmt.Sprintf("apply %d is queued", i), func() bool {
+			return b.QueueDepth() == i+1 && b.Queued() == i
+		})
+	}
+	release()
+	wg.Wait()
+	for i, th := range thresholded {
+		if errs[i] != nil {
+			t.Fatalf("apply %d: %v", i, errs[i])
+		}
+		want := direct(m, probeVec(m.N, i))
+		if th {
+			model.NewEngine(m).ApplyPanelInto(want, probeVec(m.N, i), 1, 1, true)
+		}
+		if !bitwiseEqual(ys[i], want) {
+			t.Fatalf("apply %d (thresholded %v) differs from its operator's single apply", i, th)
+		}
+	}
+	bs := ms.Histogram(registry.MetricBatchSize, "", "model", "m")
+	if bs.Count() != flushes || bs.Sum() != float64(len(thresholded)) {
+		t.Fatalf("%d flushes carried %v requests, want %d carrying %d", bs.Count(), bs.Sum(), flushes, len(thresholded))
+	}
+}
+
+// TestBusyEngineFusesQueue pins engine-first coalescing: with a one-engine
+// pool's engine held, five applies queue, and the engine's return flushes
+// all of them as one width-5 panel, each column bitwise equal to ApplyInto.
+func TestBusyEngineFusesQueue(t *testing.T) {
+	flushBehindHeldEngine(t, []bool{false, false, false, false, false}, 1)
+}
+
+// TestBatchHoldsOneOperatorKind pins the split at a kind change: plain,
+// plain, thresholded and plain applies queued behind a held engine flush as
+// batches of 2, 1 and 1 (three flushes carrying four requests can only be
+// that), and each runs its own operator bitwise.
+func TestBatchHoldsOneOperatorKind(t *testing.T) {
+	flushBehindHeldEngine(t, []bool{false, false, true, false}, 3)
+}
+
+// TestQueueDepthCountsBlockedSenders pins the shedding signal under an
+// engine-first collector: while it waits for an engine it stops reading
+// the queue, yet every apply past the closed check counts, including those
+// still waiting to enter the full channel. An apply whose context ends
+// before admission is uncounted.
+func TestQueueDepthCountsBlockedSenders(t *testing.T) {
+	const applies, maxBatch = 10, 2
+	m := testModel(t, core.LowRank)
+	ms := obs.NewMetrics()
+	b, release := heldBatcher(t, m, maxBatch, ms)
+	gauge := ms.Gauge(registry.MetricQueueDepth, "", "model", "m")
+
+	ys := make([][]float64, applies)
+	errs := make([]error, applies)
+	var wg sync.WaitGroup
+	for i := range ys {
+		ys[i] = make([]float64, m.N)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = b.Apply(context.Background(), ys[i], probeVec(m.N, i), false)
+		}()
+	}
+	waitUntil(t, fmt.Sprintf("queue depth counts all %d applies", applies), func() bool {
+		return b.QueueDepth() == applies
+	})
+	waitUntil(t, "the channel is full", func() bool { return b.Queued() == 2*maxBatch })
+	if got := gauge.Value(); got != applies {
+		t.Fatalf("queue-depth gauge %d, want %d", got, applies)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := b.Apply(ctx, make([]float64, m.N), probeVec(m.N, 0), false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("apply with an ended context on a full queue: %v, want context.Canceled", err)
+	}
+	if got, gv := b.QueueDepth(), gauge.Value(); got != applies || gv != applies {
+		t.Fatalf("after a refused admission: depth %d, gauge %d, want %d", got, gv, applies)
+	}
+
+	release()
+	wg.Wait()
+	for i := range ys {
+		if errs[i] != nil {
+			t.Fatalf("apply %d: %v", i, errs[i])
+		}
+		if !bitwiseEqual(ys[i], direct(m, probeVec(m.N, i))) {
+			t.Fatalf("apply %d differs from ApplyInto", i)
+		}
+	}
+	if got, gv := b.QueueDepth(), gauge.Value(); got != 0 || gv != 0 {
+		t.Fatalf("after the backlog drained: depth %d, gauge %d, want 0", got, gv)
+	}
 }

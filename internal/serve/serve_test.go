@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -169,7 +170,7 @@ func TestEndToEndApply(t *testing.T) {
 	for _, method := range []core.Method{core.LowRank, core.Wavelet} {
 		t.Run(method.String(), func(t *testing.T) {
 			m := testModel(t, method)
-			_, ts, name := newTestServer(t, m, serve.Options{PoolSize: 2, Window: 200 * time.Microsecond})
+			_, ts, name := newTestServer(t, m, serve.Options{PoolSize: 2})
 
 			for shift := 0; shift < 4; shift++ {
 				x := probeVec(m.N, shift)
@@ -224,16 +225,56 @@ func TestColumnEndpoint(t *testing.T) {
 	}
 }
 
-// TestCoalescedBatchEqualsUnbatched pins the micro-batching contract: with a
-// window wide enough that concurrent requests fuse into one flush, every
-// response still matches the single-RHS reference bitwise, and the metrics
-// show the coalescing actually happened (fewer flushes than requests).
+// holdEngines checks out every engine of pool, so applies queue in its
+// batcher until release puts them back. Release is idempotent; defer it
+// after the batcher's Close so a failing test cannot hang the drain.
+func holdEngines(t *testing.T, pool *registry.Pool) (release func()) {
+	t.Helper()
+	engs := make([]*model.Engine, pool.Size())
+	for i := range engs {
+		e, err := pool.Get(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[i] = e
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, e := range engs {
+				pool.Put(e)
+			}
+		})
+	}
+}
+
+// holdServerEngines holds every engine of the pool behind alias.
+func holdServerEngines(t *testing.T, s *serve.Server, alias string) (release func()) {
+	t.Helper()
+	return holdEngines(t, s.Registry().Snapshot().Lookup(alias).Pool())
+}
+
+// waitQueueDepth waits until q counts n admitted-but-incomplete applies.
+func waitQueueDepth(t *testing.T, q interface{ QueueDepth() int }, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); q.QueueDepth() < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d never reached %d", q.QueueDepth(), n)
+		}
+	}
+}
+
+// TestCoalescedBatchEqualsUnbatched pins the micro-batching contract: with
+// every engine held until all requests are queued, the next free engine
+// fuses them into one flush, every response still matches the single-RHS
+// reference bitwise, and the metrics show the coalescing actually happened
+// (fewer flushes than requests).
 func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 	const clients = 8
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
+		PoolSize: 2, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -242,6 +283,8 @@ func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
+	release := holdServerEngines(t, s, "m")
+	defer release()
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
@@ -252,6 +295,8 @@ func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
 		}(c)
 	}
+	waitQueueDepth(t, s, clients)
+	release()
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("client %d", c), results[c], direct(m, probeVec(m.N, c), false))
@@ -279,14 +324,14 @@ func requireCoalesced(t *testing.T, ms *obs.Metrics, alias string, n int) {
 }
 
 // TestPoolStressRace hammers one model from 12 concurrent clients through a
-// 2-engine pool with a short window, mixing codecs and operators; every
-// response must be bitwise-correct. Run with -race this is the pool/batcher
-// data-race gate required by the issue (≥ 8 concurrent clients).
+// 2-engine pool, mixing codecs and operators; every response must be
+// bitwise-correct. Run with -race this is the pool/batcher data-race gate
+// (≥ 8 concurrent clients).
 func TestPoolStressRace(t *testing.T) {
 	const clients, iters = 12, 10
 	m := testModel(t, core.LowRank)
 	_, ts, name := newTestServer(t, m, serve.Options{
-		PoolSize: 2, Window: 100 * time.Microsecond, MaxBatch: 4, Workers: 2,
+		PoolSize: 2, MaxBatch: 4, Workers: 2,
 		Timeout: 30 * time.Second,
 	})
 
@@ -324,22 +369,21 @@ func TestPoolStressRace(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains proves the drain contract: requests admitted
-// before Close complete successfully (Close flushes the pending batch early
+// before Close complete successfully (Close waits for the queued batch
 // rather than dropping it), and requests after Close are refused with 503.
 func TestGracefulShutdownDrains(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
-	s := serve.New(serve.Options{
-		// A long window would hold the batch open for seconds; Close must
-		// cut it short and still answer every admitted request.
-		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64,
-	})
+	s := serve.New(serve.Options{PoolSize: 2, MaxBatch: 64})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
 	}
 	s.SetReady(true)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	// Held engines keep the admitted requests queued while Close begins.
+	release := holdServerEngines(t, s, "m")
+	defer release()
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
@@ -350,15 +394,20 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
 		}(c)
 	}
-	// Wait until every request has been admitted into the open batch (the
-	// handler-entry request counter runs ahead of admission), then begin
-	// the drain while the window is still pending.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() < clients && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueDepth(t, s, clients)
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
+	// The drain has begun (readiness fails) while every request is still
+	// queued behind the held engines, so Close must wait for them.
+	if body := waitDraining(t, ts); body["queueDepth"] != float64(clients) {
+		t.Fatalf("draining /readyz queueDepth %v, want %d", body["queueDepth"], clients)
+	}
+	select {
+	case <-done:
+		t.Fatal("Close returned while admitted requests were still queued")
+	default:
+	}
+	release()
 
 	wg.Wait() // every admitted request must have completed with a 200
 	select {
@@ -554,7 +603,7 @@ func TestPoolCheckout(t *testing.T) {
 // poisons a batch.
 func TestBatcherRejectsBadDimensions(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	b := registry.NewBatcher(registry.NewPool(m, 1, nil), 0, 4, 1, nil)
+	b := registry.NewBatcher(registry.NewPool(m, 1, nil), 4, 1, nil)
 	defer b.Close()
 
 	ctx := context.Background()

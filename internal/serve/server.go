@@ -20,15 +20,12 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: NumCPU engines per
-// model, immediate flushes, registry.DefaultMaxBatch, no per-request
-// timeout, a private metrics registry, no admin surface.
+// model, registry.DefaultMaxBatch, no per-request timeout, a private metrics
+// registry, no admin surface.
 type Options struct {
 	// PoolSize is the number of engines (the concurrency limit) per model;
 	// <= 0 selects runtime.NumCPU().
 	PoolSize int
-	// Window is the micro-batching coalescing window; 0 flushes immediately
-	// (still fusing whatever is already queued).
-	Window time.Duration
 	// MaxBatch bounds the columns fused into one flush (<= 0 selects
 	// registry.DefaultMaxBatch).
 	MaxBatch int
@@ -97,7 +94,6 @@ func New(opt Options) *Server {
 	}
 	reg := registry.New(registry.Options{
 		PoolSize: opt.PoolSize,
-		Window:   opt.Window,
 		MaxBatch: opt.MaxBatch,
 		Workers:  opt.Workers,
 		Tracer:   opt.Tracer,
