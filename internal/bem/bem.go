@@ -97,24 +97,31 @@ func (s *Solver) N() int { return len(s.Pan.ContactPanels) }
 func (s *Solver) NumPanels() int { return len(s.panels) }
 
 // ApplyPanelOperator applies the full-surface current-to-potential operator
-// to a panel field (length np*np, row-major), in place.
+// to a panel field (length np*np, row-major), in place, through a throwaway
+// DCT plan.
 func (s *Solver) ApplyPanelOperator(field []float64) {
-	dct.DCT2D2(field, s.np, s.np)
+	s.applyOperator(dct.NewPlan(s.np, s.np), field)
+}
+
+// applyOperator is ApplyPanelOperator through the caller's plan.
+func (s *Solver) applyOperator(plan *dct.Plan, field []float64) {
+	plan.DCT2D2(field)
 	for i, l := range s.lam {
 		field[i] *= l
 	}
-	dct.DCT2D3(field, s.np, s.np)
+	plan.DCT2D3(field)
 }
 
-// applyAcc computes y = A_cc·q on the contact panels.
-func (s *Solver) applyAcc(q, y, field []float64) {
+// applyAcc computes y = A_cc·q on the contact panels, transforming through
+// the solve's plan.
+func (s *Solver) applyAcc(plan *dct.Plan, q, y, field []float64) {
 	for i := range field {
 		field[i] = 0
 	}
 	for i, p := range s.panels {
 		field[p] = q[i]
 	}
-	s.ApplyPanelOperator(field)
+	s.applyOperator(plan, field)
 	for i, p := range s.panels {
 		y[i] = field[p]
 	}
@@ -183,8 +190,8 @@ func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
 // run as concurrent CG solves on the worker pool. Every solve allocates its
-// own iteration buffers and writes only its output slot, so the batch is
-// bitwise-identical to sequential Solve calls.
+// own iteration buffers and DCT plan and writes only its output slot, so
+// the batch is bitwise-identical to sequential Solve calls.
 func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	sp := s.tr.Begin("bem/batch").Arg("batch_size", len(vs))
 	out := make([][]float64, len(vs))
@@ -202,8 +209,10 @@ func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 
 // cg solves A_cc·q = b by plain conjugate gradients, returning the iteration
 // count and the final relative residual ‖r‖/‖b‖ (read-only health signal).
+// Every iteration's operator apply runs through one plan built here.
 func (s *Solver) cg(q, b []float64) (int, float64, error) {
 	m := len(b)
+	plan := dct.NewPlan(s.np, s.np)
 	field := make([]float64, s.np*s.np)
 	r := make([]float64, m)
 	copy(r, b)
@@ -216,7 +225,7 @@ func (s *Solver) cg(q, b []float64) (int, float64, error) {
 	}
 	rr := la.Dot(r, r)
 	for it := 1; it <= s.MaxIts; it++ {
-		s.applyAcc(p, ap, field)
+		s.applyAcc(plan, p, ap, field)
 		pap := la.Dot(p, ap)
 		if pap <= 0 {
 			return it, math.Sqrt(rr) / bnorm, errNotPD(pap)

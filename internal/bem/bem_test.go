@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"subcouple/internal/dct"
 	"subcouple/internal/geom"
 	"subcouple/internal/metrics"
 	"subcouple/internal/solver"
@@ -70,7 +71,7 @@ func TestPanelOperatorSymmetricPD(t *testing.T) {
 		q[i] = 1
 		y := make([]float64, m)
 		field := make([]float64, 16*16)
-		s.applyAcc(q, y, field)
+		s.applyAcc(dct.NewPlan(16, 16), q, y, field)
 		return y
 	}
 	a0 := probe(0)
@@ -80,6 +81,28 @@ func TestPanelOperatorSymmetricPD(t *testing.T) {
 	}
 	if a0[0] <= 0 {
 		t.Fatalf("A_cc diagonal not positive: %g", a0[0])
+	}
+}
+
+// TestApplyAccDoesNotAllocate pins one CG iteration's operator apply at the
+// extraction size (128×128 panels), through the solve's plan, to zero
+// allocations.
+func TestApplyAccDoesNotAllocate(t *testing.T) {
+	prof := substrate.TwoLayer(128, 40, 1, true)
+	layout := geom.RegularGrid(128, 128, 16, 16, 4)
+	s, err := New(prof, layout, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := dct.NewPlan(128, 128)
+	q := make([]float64, s.NumPanels())
+	for i := range q {
+		q[i] = float64(i%7) - 3
+	}
+	y := make([]float64, len(q))
+	field := make([]float64, 128*128)
+	if n := testing.AllocsPerRun(5, func() { s.applyAcc(plan, q, y, field) }); n != 0 {
+		t.Fatalf("applyAcc: %v allocs, want 0", n)
 	}
 }
 

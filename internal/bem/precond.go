@@ -39,19 +39,19 @@ func (s *Solver) UseFastSolverPrecond(on bool) {
 // scaling, inverse DCT, restrict. The DCT round trip contributes a factor
 // (np/2)² that must be divided out twice (once per pass), i.e. a total
 // scale of (2/np)⁴ relative to the raw pipeline.
-func (s *Solver) applyPrecond(r, z, field []float64) {
+func (s *Solver) applyPrecond(plan *dct.Plan, r, z, field []float64) {
 	for i := range field {
 		field[i] = 0
 	}
 	for i, p := range s.panels {
 		field[p] = r[i]
 	}
-	dct.DCT2D2(field, s.np, s.np)
+	plan.DCT2D2(field)
 	scale := math.Pow(2/float64(s.np), 4)
 	for i, il := range s.invLam {
 		field[i] *= il * scale
 	}
-	dct.DCT2D3(field, s.np, s.np)
+	plan.DCT2D3(field)
 	for i, p := range s.panels {
 		z[i] = field[p]
 	}
@@ -59,13 +59,15 @@ func (s *Solver) applyPrecond(r, z, field []float64) {
 
 // pcg is the preconditioned variant of cg, used when the (deliberately
 // unpromising) §2.3.1 preconditioner is enabled. Like cg it also returns the
-// final relative residual ‖r‖/‖b‖.
+// final relative residual ‖r‖/‖b‖, and one plan serves every operator and
+// preconditioner apply.
 func (s *Solver) pcg(q, b []float64) (int, float64, error) {
 	m := len(b)
+	plan := dct.NewPlan(s.np, s.np)
 	field := make([]float64, s.np*s.np)
 	r := append([]float64(nil), b...)
 	z := make([]float64, m)
-	s.applyPrecond(r, z, field)
+	s.applyPrecond(plan, r, z, field)
 	p := append([]float64(nil), z...)
 	ap := make([]float64, m)
 	bnorm := la.Norm2(b)
@@ -74,7 +76,7 @@ func (s *Solver) pcg(q, b []float64) (int, float64, error) {
 	}
 	rz := la.Dot(r, z)
 	for it := 1; it <= s.MaxIts; it++ {
-		s.applyAcc(p, ap, field)
+		s.applyAcc(plan, p, ap, field)
 		pap := la.Dot(p, ap)
 		if pap <= 0 {
 			return it, la.Norm2(r) / bnorm, errNotPD(pap)
@@ -85,7 +87,7 @@ func (s *Solver) pcg(q, b []float64) (int, float64, error) {
 		if rn := la.Norm2(r); rn <= s.Tol*bnorm {
 			return it, rn / bnorm, nil
 		}
-		s.applyPrecond(r, z, field)
+		s.applyPrecond(plan, r, z, field)
 		rzNew := la.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

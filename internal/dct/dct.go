@@ -1,129 +1,33 @@
-package dct
-
-import "math"
-
-// Conventions (N = len(x)):
+// Package dct provides the discrete transforms used by subcouple's substrate
+// solvers: fast DCT-II / DCT-III in two dimensions, planned once per field
+// size (Plan), and a Thomas tridiagonal solver.
+//
+// The fast-Poisson-solver preconditioner of the finite-difference solver
+// (thesis §2.2.2) diagonalizes the grid-of-resistors operator in the DCT
+// basis, and the eigenfunction surface solver (thesis §2.3.1, Fig 2-6)
+// applies the current-to-potential operator as DCT → eigenvalue scaling →
+// inverse DCT.
+//
+// Conventions (N = length of the transformed dimension):
 //
 //	DCT-II:  X_k = Σ_{n=0}^{N-1} x_n · cos(π k (n+½) / N)
 //	DCT-III: x_n = X_0/2 + Σ_{k=1}^{N-1} X_k · cos(π k (n+½) / N)
 //
-// With these conventions DCT3(DCT2(x)) = (N/2)·x, which the callers fold
-// into their eigenvalue scaling.
+// With these conventions DCT-III(DCT-II(x)) = (N/2)·x, which the callers
+// fold into their eigenvalue scaling.
+package dct
 
-// DCT2 returns the DCT-II of x. Power-of-two lengths use an FFT; other
-// lengths fall back to the direct O(N²) evaluation.
-func DCT2(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{x[0]}
-	}
-	if !IsPow2(n) {
-		return dct2Direct(x)
-	}
-	// Makhoul's reordering: v_n = x_{2n}, v_{N-1-n} = x_{2n+1}.
-	v := make([]complex128, n)
-	for i := 0; i < n/2; i++ {
-		v[i] = complex(x[2*i], 0)
-		v[n-1-i] = complex(x[2*i+1], 0)
-	}
-	FFT(v)
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		theta := math.Pi * float64(k) / float64(2*n)
-		out[k] = real(v[k])*math.Cos(theta) + imag(v[k])*math.Sin(theta)
-	}
-	return out
-}
-
-// DCT3 returns the DCT-III of x (see package conventions).
-func DCT3(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{x[0] / 2}
-	}
-	if !IsPow2(n) {
-		return dct3Direct(x)
-	}
-	// Invert the DCT-II FFT path: V_k = e^{iθ_k}(X_k − i·X_{N−k}), V_0 = X_0,
-	// v = IFFT(V), un-reorder, and scale by N/2 to match the DCT-III
-	// convention (the FFT path computes the exact inverse of DCT2).
-	v := make([]complex128, n)
-	v[0] = complex(x[0], 0)
-	for k := 1; k < n; k++ {
-		theta := math.Pi * float64(k) / float64(2*n)
-		e := complex(math.Cos(theta), math.Sin(theta))
-		v[k] = e * complex(x[k], -x[n-k])
-	}
-	IFFT(v)
-	out := make([]float64, n)
-	half := float64(n) / 2
-	for i := 0; i < n/2; i++ {
-		out[2*i] = real(v[i]) * half
-		out[2*i+1] = real(v[n-1-i]) * half
-	}
-	return out
-}
-
-func dct2Direct(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		var s float64
-		for i, xi := range x {
-			s += xi * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		out[k] = s
-	}
-	return out
-}
-
-func dct3Direct(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := x[0] / 2
-		for k := 1; k < n; k++ {
-			s += x[k] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		out[i] = s
-	}
-	return out
-}
+// IsPow2 reports whether n is a positive power of two.
+func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // DCT2D2 applies DCT-II along both dimensions of an nx-by-ny row-major
-// field, in place.
-func DCT2D2(a []float64, nx, ny int) { transform2D(a, nx, ny, DCT2) }
+// field, in place. It builds a throwaway Plan; a caller transforming many
+// fields of one size should build the Plan once.
+func DCT2D2(a []float64, nx, ny int) { NewPlan(nx, ny).DCT2D2(a) }
 
 // DCT2D3 applies DCT-III along both dimensions of an nx-by-ny row-major
-// field, in place.
-func DCT2D3(a []float64, nx, ny int) { transform2D(a, nx, ny, DCT3) }
-
-func transform2D(a []float64, nx, ny int, f func([]float64) []float64) {
-	if len(a) != nx*ny {
-		panic("dct: 2D transform size mismatch")
-	}
-	// Rows (y-direction).
-	for i := 0; i < nx; i++ {
-		copy(a[i*ny:(i+1)*ny], f(a[i*ny:(i+1)*ny]))
-	}
-	// Columns (x-direction).
-	col := make([]float64, nx)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			col[i] = a[i*ny+j]
-		}
-		out := f(col)
-		for i := 0; i < nx; i++ {
-			a[i*ny+j] = out[i]
-		}
-	}
-}
+// field, in place, through a throwaway Plan like DCT2D2.
+func DCT2D3(a []float64, nx, ny int) { NewPlan(nx, ny).DCT2D3(a) }
 
 // SolveTridiag solves the tridiagonal system with subdiagonal a (a[0]
 // unused), diagonal b, superdiagonal c (c[n-1] unused) and right-hand side

@@ -8,12 +8,73 @@ import (
 	"testing/quick"
 )
 
+// dct2Direct and dct3Direct evaluate the defining sums (see the package
+// conventions) with the cosines computed inline: the tolerance reference
+// for the fast transforms.
+func dct2Direct(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for k := 0; k < n; k++ {
+		var s float64
+		for i, xi := range x {
+			s += xi * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+		}
+		out[k] = s
+	}
+	return out
+}
+
+func dct3Direct(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := x[0] / 2
+		for k := 1; k < n; k++ {
+			s += x[k] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// planDCT2 and planDCT3 run x through a fresh plan's 1-D transform.
+func planDCT2(x []float64) []float64 {
+	y := append([]float64(nil), x...)
+	newAxis(len(y)).dct2(y)
+	return y
+}
+
+func planDCT3(x []float64) []float64 {
+	y := append([]float64(nil), x...)
+	newAxis(len(y)).dct3(y)
+	return y
+}
+
+// planFFT returns the DFT of x (len(x) a power of two) computed by a plan's
+// tables and butterflies: X_k = Σ_n x_n e^{∓2πi kn/N}, the unscaled
+// inverse when inverse is set.
+func planFFT(x []complex128, inverse bool) []complex128 {
+	a := newAxis(len(x))
+	v := append([]complex128(nil), x...)
+	if len(x) <= 1 {
+		return v
+	}
+	for i, j := range a.rev {
+		v[j] = x[i]
+	}
+	tw := a.fwd
+	if inverse {
+		tw = a.inv
+	}
+	fft(v, tw)
+	return v
+}
+
 func TestFFTKnownValues(t *testing.T) {
 	// FFT of a delta is all-ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	FFT(x)
-	for i, v := range x {
+	for i, v := range planFFT(x, false) {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("delta FFT[%d] = %v", i, v)
 		}
@@ -22,13 +83,13 @@ func TestFFTKnownValues(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	FFT(x)
-	if cmplx.Abs(x[0]-16) > 1e-12 {
-		t.Fatalf("const FFT[0] = %v", x[0])
+	y := planFFT(x, false)
+	if cmplx.Abs(y[0]-16) > 1e-12 {
+		t.Fatalf("const FFT[0] = %v", y[0])
 	}
 	for i := 1; i < 8; i++ {
-		if cmplx.Abs(x[i]) > 1e-12 {
-			t.Fatalf("const FFT[%d] = %v", i, x[i])
+		if cmplx.Abs(y[i]) > 1e-12 {
+			t.Fatalf("const FFT[%d] = %v", i, y[i])
 		}
 	}
 }
@@ -40,18 +101,21 @@ func TestFFTMatchesDirect(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		want := make([]complex128, n)
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				ang := -2 * math.Pi * float64(k*i) / float64(n)
-				want[k] += x[i] * cmplx.Exp(complex(0, ang))
+		for _, inverse := range []bool{false, true} {
+			sign := -2.0
+			if inverse {
+				sign = 2
 			}
-		}
-		got := append([]complex128(nil), x...)
-		FFT(got)
-		for k := range got {
-			if cmplx.Abs(got[k]-want[k]) > 1e-9 {
-				t.Fatalf("n=%d k=%d: %v vs %v", n, k, got[k], want[k])
+			got := planFFT(x, inverse)
+			for k := range got {
+				var want complex128
+				for i := 0; i < n; i++ {
+					ang := sign * math.Pi * float64(k*i) / float64(n)
+					want += x[i] * cmplx.Exp(complex(0, ang))
+				}
+				if cmplx.Abs(got[k]-want) > 1e-9 {
+					t.Fatalf("n=%d inverse=%v k=%d: %v vs %v", n, inverse, k, got[k], want)
+				}
 			}
 		}
 	}
@@ -63,33 +127,22 @@ func TestFFTIFFTRoundTrip(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	y := append([]complex128(nil), x...)
-	FFT(y)
-	IFFT(y)
+	y := planFFT(planFFT(x, false), true)
 	for i := range x {
-		if cmplx.Abs(y[i]-x[i]) > 1e-12 {
+		if cmplx.Abs(y[i]/32-x[i]) > 1e-12 {
 			t.Fatalf("round trip failed at %d", i)
 		}
 	}
 }
 
-func TestFFTRejectsNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic on non-power-of-two length")
-		}
-	}()
-	FFT(make([]complex128, 6))
-}
-
 func TestDCT2MatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, n := range []int{1, 2, 4, 8, 32, 128} {
+	for _, n := range []int{1, 2, 3, 4, 8, 12, 32, 128} {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := DCT2(x)
+		got := planDCT2(x)
 		want := dct2Direct(x)
 		for k := range got {
 			if math.Abs(got[k]-want[k]) > 1e-9 {
@@ -101,12 +154,12 @@ func TestDCT2MatchesDirect(t *testing.T) {
 
 func TestDCT3MatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{2, 4, 16, 64} {
+	for _, n := range []int{1, 2, 4, 5, 16, 24, 64} {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := DCT3(x)
+		got := planDCT3(x)
 		want := dct3Direct(x)
 		for k := range got {
 			if math.Abs(got[k]-want[k]) > 1e-9 {
@@ -131,7 +184,7 @@ func TestDCTRoundTripProperty(t *testing.T) {
 				x[i] = float64(i)
 			}
 		}
-		y := DCT3(DCT2(x))
+		y := planDCT3(planDCT2(x))
 		scale := float64(n) / 2
 		var amp float64 = 1
 		for _, v := range x {
@@ -160,7 +213,7 @@ func TestDCT2CosineModeIsEigenvector(t *testing.T) {
 		for i := range x {
 			x[i] = math.Cos(math.Pi * float64(m) * (float64(i) + 0.5) / float64(n))
 		}
-		y := DCT2(x)
+		y := planDCT2(x)
 		want := float64(n) / 2
 		if m == 0 {
 			want = float64(n)
@@ -192,6 +245,47 @@ func TestDCT2DRoundTrip(t *testing.T) {
 		if math.Abs(a[i]-scale*orig[i]) > 1e-9*scale {
 			t.Fatalf("2D round trip failed at %d: %g vs %g", i, a[i], scale*orig[i])
 		}
+	}
+}
+
+// TestPlanReuseMatchesThrowaway runs several fields through one plan, with
+// a power-of-two and a direct-sum dimension, and requires the bits of
+// throwaway-plan transforms: a reused plan's scratch carries nothing over.
+func TestPlanReuseMatchesThrowaway(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, sz := range [][2]int{{12, 32}, {32, 12}, {16, 16}} {
+		nx, ny := sz[0], sz[1]
+		p := NewPlan(nx, ny)
+		for round := 0; round < 3; round++ {
+			a := make([]float64, nx*ny)
+			for i := range a {
+				a[i] = rng.NormFloat64()
+			}
+			want := append([]float64(nil), a...)
+			p.DCT2D2(a)
+			DCT2D2(want, nx, ny)
+			p.DCT2D3(a)
+			DCT2D3(want, nx, ny)
+			if i := sameBits(a, want); i >= 0 {
+				t.Fatalf("%dx%d round %d: entry %d differs: %g vs %g", nx, ny, round, i, a[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPlanPairDoesNotAllocate pins the solvers' per-iteration transform
+// pair at the extraction size to zero allocations.
+func TestPlanPairDoesNotAllocate(t *testing.T) {
+	p := NewPlan(128, 128)
+	a := make([]float64, 128*128)
+	for i := range a {
+		a[i] = float64(i%17) - 8
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		p.DCT2D2(a)
+		p.DCT2D3(a)
+	}); n != 0 {
+		t.Fatalf("DCT2D2+DCT2D3 through a plan: %v allocs, want 0", n)
 	}
 }
 

@@ -155,15 +155,17 @@ func (s *Solver) buildFastPoisson() {
 // applyFastPoisson computes z = M⁻¹·r where M is the uniform-boundary
 // grid-of-resistors operator: DCT-II per z-plane, an nz-point tridiagonal
 // solve per lateral mode, inverse DCT, and the round-trip 4/(nx·ny) scale.
+// One DCT plan serves all 2·nz plane transforms.
 func (s *Solver) applyFastPoisson(r, z []float64) {
 	if s.fpMuX == nil {
 		s.buildFastPoisson()
 	}
 	nx, ny, nz := s.nx, s.ny, s.nz
 	plane := nx * ny
+	plan := dct.NewPlan(nx, ny)
 	copy(z, r)
 	for k := 0; k < nz; k++ {
-		dct.DCT2D2(z[k*plane:(k+1)*plane], nx, ny)
+		plan.DCT2D2(z[k*plane : (k+1)*plane])
 	}
 	a := make([]float64, nz) // subdiagonal
 	bd := make([]float64, nz)
@@ -210,7 +212,7 @@ func (s *Solver) applyFastPoisson(r, z []float64) {
 	scale := 4 / (float64(nx) * float64(ny))
 	for k := 0; k < nz; k++ {
 		pl := z[k*plane : (k+1)*plane]
-		dct.DCT2D3(pl, nx, ny)
+		plan.DCT2D3(pl)
 		for i := range pl {
 			pl[i] *= scale
 		}
