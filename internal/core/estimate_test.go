@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"subcouple/internal/la"
@@ -180,6 +183,47 @@ func TestExtractPropagatesSolverFailure(t *testing.T) {
 	for _, m := range []Method{Wavelet, LowRank} {
 		if _, err := Extract(&failingSolver{n: layout.N()}, layout, Options{Method: m, MaxLevel: 4}); err == nil {
 			t.Fatalf("%v: expected propagated solver error", m)
+		}
+	}
+}
+
+// poisonedSolver answers like the dense G, except that its 40th call, in
+// whatever order concurrent calls arrive, returns bad in one entry: a
+// faulty black box.
+type poisonedSolver struct {
+	*solver.Dense
+	bad   float64
+	calls atomic.Int64
+}
+
+func (p *poisonedSolver) Solve(v []float64) ([]float64, error) {
+	r, err := p.Dense.Solve(v)
+	if err == nil && p.calls.Add(1) == 40 {
+		r[len(r)/2] = p.bad
+	}
+	return r, err
+}
+
+// TestExtractRejectsNonFiniteAnswers: one NaN or ±Inf in one black-box
+// answer fails the extraction, for both methods and any worker count, with
+// an error that names the solve.
+func TestExtractRejectsNonFiniteAnswers(t *testing.T) {
+	layout, g := setup(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, m := range []Method{Wavelet, LowRank} {
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%v/%v/workers%d", bad, m, w), func(t *testing.T) {
+					s := &poisonedSolver{Dense: solver.NewDense(g), bad: bad}
+					res, err := Extract(s, layout, Options{Method: m, MaxLevel: 4, Workers: w})
+					if err == nil {
+						t.Fatalf("extraction succeeded (%d solves) on a poisoned answer", res.Solves)
+					}
+					want := fmt.Sprintf("returned %v for contact %d", bad, layout.N()/2)
+					if !strings.Contains(err.Error(), "black-box solve") || !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q does not name the solve and the %v entry", err, bad)
+					}
+				})
+			}
 		}
 	}
 }

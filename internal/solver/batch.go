@@ -107,22 +107,41 @@ func (p *parallelSolver) SetTracer(tr *obs.Tracer) {
 // — counted, then bypassed — so the fan-out always happens below the
 // counter. Without this, Counting's own SolveBatch (a sequential Solve loop
 // when the innermost solver is a plain Solver) would swallow the batch and
-// silently serialize it.
+// silently serialize it. The answers are then checked as the outermost
+// unwrapped Counting would have checked them.
 func (p *parallelSolver) SolveBatch(vs [][]float64) ([][]float64, error) {
-	s := p.s
+	s, first, counted := p.s, 0, false
 	for {
-		if c, ok := s.(*Counting); ok {
-			c.recordBatch(len(vs))
-			s = c.S
-			continue
+		c, ok := s.(*Counting)
+		if !ok {
+			break
 		}
-		break
+		n := c.recordBatch(len(vs))
+		if !counted {
+			first, counted = n, true
+		}
+		s = c.S
 	}
 	busy := p.workers
 	if len(vs) < busy {
 		busy = len(vs)
 	}
 	p.rec.Observe("solver/busy_workers", float64(busy))
+	out, err := p.fanOut(s, vs)
+	if err != nil {
+		return nil, err
+	}
+	if counted {
+		if err := checkFinite(first, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// fanOut answers vs through s: natively if s batches, otherwise one Solve
+// per right-hand side on the worker pool.
+func (p *parallelSolver) fanOut(s Solver, vs [][]float64) ([][]float64, error) {
 	if bs, ok := s.(BatchSolver); ok {
 		return bs.SolveBatch(vs)
 	}

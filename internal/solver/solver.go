@@ -8,6 +8,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"subcouple/internal/la"
@@ -34,6 +35,10 @@ type IterationReporter interface {
 // Counting may sit below a Parallel adapter; read Solves only when no
 // solves are in flight (i.e. after the extraction returns). Set Rec to also
 // stream solve counts and batch-size stats into an obs.Recorder.
+//
+// Counting also checks every answer: one holding a NaN or an infinity is
+// returned as an error naming the solve by its number in the count, so a
+// faulty black box fails the extraction instead of poisoning the model.
 type Counting struct {
 	S      Solver
 	Solves int
@@ -50,32 +55,64 @@ func (c *Counting) N() int { return c.S.N() }
 
 // Solve implements Solver, incrementing the call counter.
 func (c *Counting) Solve(v []float64) ([]float64, error) {
-	c.add(1)
+	k := c.add(1)
 	c.Rec.Add("solver/solves", 1)
-	return c.S.Solve(v)
+	r, err := c.S.Solve(v)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite(k, [][]float64{r}); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // SolveBatch implements BatchSolver: a batch of k right-hand sides counts
 // as k black-box calls regardless of how the wrapped solver executes them.
 func (c *Counting) SolveBatch(vs [][]float64) ([][]float64, error) {
-	c.recordBatch(len(vs))
-	return SolveBatch(c.S, vs)
+	first := c.recordBatch(len(vs))
+	out, err := SolveBatch(c.S, vs)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite(first, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// recordBatch counts a k-solve batch. It is also called by the Parallel
-// adapter when it unwraps a Counting to fan the batch out itself, so the
-// count stays exact on that path too.
-func (c *Counting) recordBatch(k int) {
-	c.add(k)
+// recordBatch counts a k-solve batch and returns the count before it. It is
+// also called by the Parallel adapter when it unwraps a Counting to fan the
+// batch out itself, so the count and the answer check stay exact on that
+// path too.
+func (c *Counting) recordBatch(k int) int {
+	first := c.add(k)
 	c.Rec.Add("solver/solves", int64(k))
 	c.Rec.Add("solver/batches", 1)
 	c.Rec.Observe("solver/batch_size", float64(k))
+	return first
 }
 
-func (c *Counting) add(k int) {
+// add counts k solves and returns the count before them.
+func (c *Counting) add(k int) int {
 	c.mu.Lock()
+	first := c.Solves
 	c.Solves += k
 	c.mu.Unlock()
+	return first
+}
+
+// checkFinite returns an error naming the first NaN or infinity in the
+// answers out, whose solves the counter numbered first+1, first+2, ...
+func checkFinite(first int, out [][]float64) error {
+	for j, r := range out {
+		for i, x := range r {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("solver: black-box solve %d returned %v for contact %d", first+j+1, x, i)
+			}
+		}
+	}
+	return nil
 }
 
 // SetRecorder implements obs.RecorderSetter, forwarding to the wrapped

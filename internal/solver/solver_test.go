@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"subcouple/internal/la"
@@ -85,5 +87,75 @@ func TestExtractColumns(t *testing.T) {
 	}
 	if _, err := ExtractColumns(s, []int{7}); err == nil {
 		t.Fatalf("expected range error")
+	}
+}
+
+// poisoned answers like Dense, except that the answer to any voltage
+// vector driving contact 2 carries bad at contact 1.
+type poisoned struct {
+	*Dense
+	bad float64
+}
+
+func (p poisoned) Solve(v []float64) ([]float64, error) {
+	r, err := p.Dense.Solve(v)
+	if err == nil && v[2] != 0 {
+		r[1] = p.bad
+	}
+	return r, err
+}
+
+// TestCountingRejectsNonFinite drives a poisoned answer through every path
+// a Counting sees: its own Solve and SolveBatch, below a Parallel adapter,
+// and unwrapped by one. Each must fail with the poisoned solve's number.
+func TestCountingRejectsNonFinite(t *testing.T) {
+	e := func(j int) []float64 {
+		v := make([]float64, 3)
+		v[j] = 1
+		return v
+	}
+	batch := [][]float64{e(0), e(1), e(2), e(0)}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bb := poisoned{NewDense(testG()), bad}
+		for _, tc := range []struct {
+			name  string
+			solve int // the poisoned solve's number
+			run   func() error
+		}{
+			{"Solve", 2, func() error {
+				c := NewCounting(bb)
+				if _, err := c.Solve(e(0)); err != nil {
+					return err
+				}
+				_, err := c.Solve(e(2))
+				return err
+			}},
+			{"SolveBatch", 3, func() error {
+				_, err := NewCounting(bb).SolveBatch(batch)
+				return err
+			}},
+			{"Counting(Parallel)", 3, func() error {
+				_, err := NewCounting(Parallel(bb, 4)).SolveBatch(batch)
+				return err
+			}},
+			{"Parallel(Counting)", 5, func() error {
+				c := NewCounting(bb)
+				if _, err := c.Solve(e(0)); err != nil {
+					return err
+				}
+				p := Parallel(c, 4)
+				if _, err := p.SolveBatch(batch[:1]); err != nil {
+					return err
+				}
+				_, err := p.SolveBatch(batch)
+				return err
+			}},
+		} {
+			err := tc.run()
+			want := fmt.Sprintf("black-box solve %d returned %v for contact 1", tc.solve, bad)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s with %v: error %v, want one containing %q", tc.name, bad, err, want)
+			}
+		}
 	}
 }
