@@ -18,11 +18,9 @@ import (
 	"subcouple/internal/substrate"
 )
 
-// solveBits hashes the exact bits of s's answers to every unit voltage
-// vector and to one seeded random vector, in that order.
-func solveBits(t *testing.T, s *Solver) uint64 {
-	t.Helper()
-	n := s.N()
+// goldenVoltages returns every unit voltage vector of n contacts and one
+// seeded random vector, in that order.
+func goldenVoltages(n int) [][]float64 {
 	rng := rand.New(rand.NewSource(31))
 	vs := make([][]float64, 0, n+1)
 	for j := 0; j < n; j++ {
@@ -34,14 +32,14 @@ func solveBits(t *testing.T, s *Solver) uint64 {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	vs = append(vs, v)
+	return append(vs, v)
+}
+
+// hashAnswers hashes the exact bits of answers, in order.
+func hashAnswers(outs [][]float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for _, v := range vs {
-		out, err := s.Solve(v)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, out := range outs {
 		for _, x := range out {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			h.Write(b[:])
@@ -50,10 +48,38 @@ func solveBits(t *testing.T, s *Solver) uint64 {
 	return h.Sum64()
 }
 
+// solveBits hashes s's answers to goldenVoltages, one Solve call each.
+func solveBits(t *testing.T, s *Solver) uint64 {
+	t.Helper()
+	vs := goldenVoltages(s.N())
+	outs := make([][]float64, len(vs))
+	for i, v := range vs {
+		out, err := s.Solve(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = out
+	}
+	return hashAnswers(outs)
+}
+
+// batchBits hashes s's answers to goldenVoltages, all in one SolveBatch
+// call on the given number of workers.
+func batchBits(t *testing.T, s *Solver, workers int) uint64 {
+	t.Helper()
+	s.SetWorkers(workers)
+	outs, err := s.SolveBatch(goldenVoltages(s.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hashAnswers(outs)
+}
+
 // TestGoldenSolveBits pins the eigenfunction solver's answers, with plain
-// CG and with the §2.3.1 fast-solver preconditioner, against constants: a
-// change to the transforms, the operator or the iteration that moves any
-// bit of any answer fails here.
+// CG and with the §2.3.1 fast-solver preconditioner, against constants,
+// through Solve and through SolveBatch: a change to the transforms, the
+// operator, the iteration or the batch path that moves any bit of any
+// answer fails here.
 func TestGoldenSolveBits(t *testing.T) {
 	for _, g := range []struct {
 		name    string
@@ -73,6 +99,13 @@ func TestGoldenSolveBits(t *testing.T) {
 			s.UseFastSolverPrecond(g.precond)
 			if got := solveBits(t, s); got != g.want {
 				t.Errorf("answer hash %#016x, want %#016x", got, g.want)
+			}
+			// The same vectors through SolveBatch: one worker reuses its
+			// buffers across every solve, three interleave them.
+			for _, w := range []int{1, 3} {
+				if got := batchBits(t, s, w); got != g.want {
+					t.Errorf("SolveBatch on %d workers: answer hash %#016x, want %#016x", w, got, g.want)
+				}
 			}
 		})
 	}
