@@ -439,21 +439,25 @@ func BenchmarkFDPreconditioners(b *testing.B) {
 
 // BenchmarkBemPreconditioner reproduces the §2.3.1 negative result as a
 // benchmark: the fast-solver preconditioner for the eigenfunction approach
-// buys little.
+// buys little, where exact per-contact blocks (the default) cut the
+// iterations.
 func BenchmarkBemPreconditioner(b *testing.B) {
 	prof := substrate.TwoLayer(64, 20, 1, true)
 	layout := geom.RegularGrid(64, 64, 8, 8, 2)
-	for _, on := range []bool{false, true} {
-		name := "plain"
-		if on {
-			name = "fastsolver"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, pc := range []struct {
+		name    string
+		precond bem.Precond
+	}{
+		{"plain", bem.PrecondNone},
+		{"fastsolver", bem.PrecondFastSolver},
+		{"blockjacobi", bem.PrecondBlockJacobi},
+	} {
+		b.Run(pc.name, func(b *testing.B) {
 			s, err := bem.New(prof, layout, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.UseFastSolverPrecond(on)
+			s.Precond = pc.precond
 			v := make([]float64, layout.N())
 			v[0] = 1
 			b.ResetTimer()

@@ -7,13 +7,16 @@
 //
 // (Fig 2-6; the sinc factors s_m account for panel averaging of the cosine
 // modes). Contact currents for given contact voltages are found by solving
-// A_cc·q_c = v_c with conjugate gradients on the contact panels, then
-// summing panel currents per contact.
+// A_cc·q_c = v_c with preconditioned conjugate gradients on the contact
+// panels, then summing panel currents per contact. The default
+// preconditioner inverts each contact's own block of A_cc exactly
+// (block-Jacobi; precond.go): coupling decays with distance, so most of a
+// contact's response comes from its own panels.
 package bem
 
 import (
 	"fmt"
-	"math"
+	"sync"
 	"sync/atomic"
 
 	"subcouple/internal/dct"
@@ -38,23 +41,28 @@ type Solver struct {
 	// Workers sizes the goroutine pool SolveBatch fans right-hand sides
 	// across (<= 0 selects runtime.NumCPU()).
 	Workers int
+	// Precond selects the PCG preconditioner (default PrecondBlockJacobi).
+	// Set it before the first solve: the preconditioner is built then.
+	Precond Precond
 
-	// §2.3.1 fast-solver preconditioner state (a reproduced negative
-	// result; see precond.go).
-	usePrecond bool
-	invLam     []float64
+	// Preconditioner state, built once by ensurePrecond (precond.go).
+	initOnce sync.Once
+	initErr  error
+	chol     [][]float64 // block-Jacobi: packed Cholesky factor per contact
+	invLam   []float64   // fast-solver: 1/λ per mode
 
 	solves     atomic.Int64
 	totalIters atomic.Int64
 
-	rec *obs.Recorder // CG/PCG iteration histogram
+	rec *obs.Recorder // PCG iteration histogram + precond-setup phase
 	tr  *obs.Tracer   // per-solve spans with convergence args
 }
 
 // New builds a solver for the layout on the profile with an np-by-np panel
 // grid. The profile must have a grounded backplane (the thesis approximates
 // a floating backplane by inserting a resistive layer; see
-// substrate.TwoLayer). Contacts must align to the panel grid.
+// substrate.TwoLayer). Contacts must align to the panel grid. New does no
+// preconditioner work; the first solve builds it.
 func New(prof *substrate.Profile, layout *geom.Layout, np int) (*Solver, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -127,16 +135,47 @@ func (s *Solver) applyAcc(plan *dct.Plan, q, y, field []float64) {
 	}
 }
 
-// Solve implements solver.Solver: contact voltages in, contact currents out.
-func (s *Solver) Solve(v []float64) ([]float64, error) {
-	return s.solveOn(nil, 0, v)
+// workspace holds one solve's DCT plan, panel field and PCG vectors. Every
+// solve rewrites all of it before reading it, so reusing a workspace never
+// changes an answer. A workspace serves one solve at a time.
+type workspace struct {
+	plan  *dct.Plan
+	field []float64 // np*np panel field
+	// PCG vectors over the contact panels; z aliases r under PrecondNone.
+	q, r, z, p, ap []float64
 }
 
-// solveOn is Solve with trace placement: the emitted "bem/solve" span nests
-// under parent (nil = a root span) on the given track, carrying the CG
-// iteration count and final relative residual as args. Observability only —
-// the solve itself is identical with tracing on or off.
-func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, error) {
+func (s *Solver) newWorkspace() *workspace {
+	m := len(s.panels)
+	ws := &workspace{
+		plan:  dct.NewPlan(s.np, s.np),
+		field: make([]float64, s.np*s.np),
+		q:     make([]float64, m),
+		r:     make([]float64, m),
+		p:     make([]float64, m),
+		ap:    make([]float64, m),
+	}
+	ws.z = ws.r
+	if s.Precond != PrecondNone {
+		ws.z = make([]float64, m)
+	}
+	return ws
+}
+
+// Solve implements solver.Solver: contact voltages in, contact currents out.
+func (s *Solver) Solve(v []float64) ([]float64, error) {
+	if err := s.ensurePrecond(); err != nil {
+		return nil, err
+	}
+	return s.solveOn(nil, 0, s.newWorkspace(), v)
+}
+
+// solveOn solves for v in ws, with trace placement: the emitted "bem/solve"
+// span nests under parent (nil = a root span) on the given track, carrying
+// the PCG iteration count and final relative residual as args.
+// Observability only — the solve itself is identical with tracing on or
+// off. The preconditioner must already be built.
+func (s *Solver) solveOn(parent *obs.Span, track int, ws *workspace, v []float64) ([]float64, error) {
 	n := s.N()
 	if len(v) != n {
 		return nil, fmt.Errorf("bem: voltage vector length %d, want %d", len(v), n)
@@ -147,20 +186,11 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 	} else {
 		sp = s.tr.BeginOn(track, "bem/solve")
 	}
-	m := len(s.panels)
-	b := make([]float64, m)
-	for i := range s.panels {
-		b[i] = v[s.owner[i]]
+	for i, c := range s.owner {
+		ws.r[i] = v[c]
+		ws.q[i] = 0
 	}
-	q := make([]float64, m)
-	var iters int
-	var rel float64
-	var err error
-	if s.usePrecond {
-		iters, rel, err = s.pcg(q, b)
-	} else {
-		iters, rel, err = s.cg(q, b)
-	}
+	iters, rel, err := s.pcg(ws)
 	s.solves.Add(1)
 	s.totalIters.Add(int64(iters))
 	s.rec.Observe("bem/cg_iters", float64(iters))
@@ -170,8 +200,8 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 		return nil, err
 	}
 	out := make([]float64, n)
-	for i := range s.panels {
-		out[s.owner[i]] += q[i]
+	for i, c := range s.owner {
+		out[c] += ws.q[i]
 	}
 	return out, nil
 }
@@ -179,9 +209,10 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 // SetWorkers implements solver.WorkerSetter.
 func (s *Solver) SetWorkers(w int) { s.Workers = w }
 
-// SetRecorder implements obs.RecorderSetter: CG (or PCG) iteration counts
-// land in the "bem/cg_iters" histogram and final relative residuals in the
-// "bem/cg_final_rel" numerics stat.
+// SetRecorder implements obs.RecorderSetter: PCG iteration counts land in
+// the "bem/cg_iters" histogram, final relative residuals in the
+// "bem/cg_final_rel" numerics stat, and the one-time preconditioner build is
+// timed as phase "bem/precond_setup".
 func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
 
 // SetTracer implements obs.TracerSetter: each solve emits a "bem/solve" span
@@ -189,14 +220,22 @@ func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
 func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
-// run as concurrent CG solves on the worker pool. Every solve allocates its
-// own iteration buffers and DCT plan and writes only its output slot, so
-// the batch is bitwise-identical to sequential Solve calls.
+// run as concurrent PCG solves on the worker pool. Each pool slot owns one
+// workspace for the whole batch, every solve rewrites its workspace and
+// writes only its output slot, so the batch is bitwise-identical to
+// sequential Solve calls.
 func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
+	if err := s.ensurePrecond(); err != nil {
+		return nil, err
+	}
 	sp := s.tr.Begin("bem/batch").Arg("batch_size", len(vs))
 	out := make([][]float64, len(vs))
+	ws := make([]*workspace, par.Workers(s.Workers))
 	err := par.DoWorkerErr(s.Workers, len(vs), func(worker, i int) error {
-		r, err := s.solveOn(sp, worker+1, vs[i])
+		if ws[worker] == nil {
+			ws[worker] = s.newWorkspace()
+		}
+		r, err := s.solveOn(sp, worker+1, ws[worker], vs[i])
 		out[i] = r
 		return err
 	})
@@ -207,40 +246,38 @@ func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// cg solves A_cc·q = b by plain conjugate gradients, returning the iteration
-// count and the final relative residual ‖r‖/‖b‖ (read-only health signal).
-// Every iteration's operator apply runs through one plan built here.
-func (s *Solver) cg(q, b []float64) (int, float64, error) {
-	m := len(b)
-	plan := dct.NewPlan(s.np, s.np)
-	field := make([]float64, s.np*s.np)
-	r := make([]float64, m)
-	copy(r, b)
-	p := make([]float64, m)
-	copy(p, b)
-	ap := make([]float64, m)
-	bnorm := la.Norm2(b)
+// pcg solves A_cc·q = b by preconditioned conjugate gradients in ws, with b
+// in ws.r and a zero ws.q on entry, returning the iteration count and the
+// final relative residual ‖r‖/‖b‖ (read-only health signal). Every choice
+// of preconditioner stops on the same unpreconditioned test,
+// ‖r‖ ≤ Tol·‖b‖. Under PrecondNone, z aliases r and this is plain CG.
+func (s *Solver) pcg(ws *workspace) (int, float64, error) {
+	q, r, z, p, ap := ws.q, ws.r, ws.z, ws.p, ws.ap
+	bnorm := la.Norm2(r)
 	if bnorm == 0 {
 		return 0, 0, nil
 	}
-	rr := la.Dot(r, r)
+	s.precondition(ws)
+	copy(p, z)
+	rz := la.Dot(r, z)
 	for it := 1; it <= s.MaxIts; it++ {
-		s.applyAcc(plan, p, ap, field)
+		s.applyAcc(ws.plan, p, ap, ws.field)
 		pap := la.Dot(p, ap)
 		if pap <= 0 {
-			return it, math.Sqrt(rr) / bnorm, errNotPD(pap)
+			return it, la.Norm2(r) / bnorm, errNotPD(pap)
 		}
-		alpha := rr / pap
+		alpha := rz / pap
 		la.Axpy(alpha, p, q)
 		la.Axpy(-alpha, ap, r)
-		rrNew := la.Dot(r, r)
-		if math.Sqrt(rrNew) <= s.Tol*bnorm {
-			return it, math.Sqrt(rrNew) / bnorm, nil
+		if rn := la.Norm2(r); rn <= s.Tol*bnorm {
+			return it, rn / bnorm, nil
 		}
-		beta := rrNew / rr
-		rr = rrNew
+		s.precondition(ws)
+		rzNew := la.Dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = z[i] + beta*p[i]
 		}
 	}
 	rel := la.Norm2(r) / bnorm
@@ -252,7 +289,7 @@ func errNotPD(pap float64) error {
 }
 
 func errNoConverge(its int, rel float64) error {
-	return fmt.Errorf("bem: CG did not converge in %d iterations (residual %g)", its, rel)
+	return fmt.Errorf("bem: PCG did not converge in %d iterations (residual %g)", its, rel)
 }
 
 // AvgIterations implements solver.IterationReporter.

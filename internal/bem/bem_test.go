@@ -2,6 +2,7 @@ package bem
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"subcouple/internal/dct"
@@ -86,7 +87,8 @@ func TestPanelOperatorSymmetricPD(t *testing.T) {
 
 // TestApplyAccDoesNotAllocate pins one CG iteration's operator apply at the
 // extraction size (128×128 panels), through the solve's plan, to zero
-// allocations.
+// allocations, and then a whole PCG solve in a workspace under each
+// preconditioner, its apply included.
 func TestApplyAccDoesNotAllocate(t *testing.T) {
 	prof := substrate.TwoLayer(128, 40, 1, true)
 	layout := geom.RegularGrid(128, 128, 16, 16, 4)
@@ -103,6 +105,102 @@ func TestApplyAccDoesNotAllocate(t *testing.T) {
 	field := make([]float64, 128*128)
 	if n := testing.AllocsPerRun(5, func() { s.applyAcc(plan, q, y, field) }); n != 0 {
 		t.Fatalf("applyAcc: %v allocs, want 0", n)
+	}
+	for _, pc := range []Precond{PrecondNone, PrecondFastSolver, PrecondBlockJacobi} {
+		s, err := New(prof, layout, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Precond = pc
+		s.Tol = 1e-6
+		if err := s.ensurePrecond(); err != nil {
+			t.Fatal(err)
+		}
+		ws := s.newWorkspace()
+		iters := 0
+		solve := func() {
+			copy(ws.r, q)
+			clear(ws.q)
+			its, _, err := s.pcg(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = its
+		}
+		if n := testing.AllocsPerRun(2, solve); n != 0 {
+			t.Fatalf("precond %d: PCG solve of %d iterations made %v allocs, want 0", pc, iters, n)
+		}
+	}
+}
+
+// TestBlocksMatchOperatorColumns: every entry of every contact's
+// block-Jacobi block equals the panel operator's own column entry, within
+// 1e-13 of the column's diagonal. The alternating layout sits on a
+// non-square surface, so the two panel directions differ; the split
+// mixed-shapes layout has multi-panel blocks on rings and thin contacts.
+func TestBlocksMatchOperatorColumns(t *testing.T) {
+	rect := substrate.TwoLayer(64, 20, 1, true)
+	rect.B = 32
+	for _, c := range []struct {
+		prof   *substrate.Profile
+		layout *geom.Layout
+		np     int
+	}{
+		{rect, geom.AlternatingGrid(64, 32, 8, 4, 2, 4), 64},
+		{substrate.TwoLayer(128, 40, 1, true), geom.MixedShapes(128).SplitToGrid(4), 128},
+	} {
+		t.Run(c.layout.Name, func(t *testing.T) {
+			s, err := New(c.prof, c.layout, c.np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := s.kTable()
+			plan := dct.NewPlan(c.np, c.np)
+			field := make([]float64, c.np*c.np)
+			largest, worst := 0, 0.0
+			for ci, ps := range s.Pan.ContactPanels {
+				a := s.block(k, ps)
+				for y, q := range ps {
+					clear(field)
+					field[q] = 1
+					s.applyOperator(plan, field)
+					for x, p := range ps {
+						d := math.Abs(a.At(x, y)-field[p]) / field[q]
+						if d > 1e-13 {
+							t.Fatalf("contact %d: block (%d,%d) = %.17g, operator %.17g (diagonal %g)",
+								ci, x, y, a.At(x, y), field[p], field[q])
+						}
+						worst = max(worst, d)
+					}
+				}
+				largest = max(largest, len(ps))
+			}
+			if largest < 4 {
+				t.Fatalf("largest block has %d panels; want multi-panel blocks", largest)
+			}
+			t.Logf("%d contacts, largest block %d panels, worst entry off by %.2g of the diagonal",
+				s.N(), largest, worst)
+		})
+	}
+}
+
+// TestBlockFailureNamesContact: a block that is not positive definite fails
+// the solve with an error that names the contact.
+func TestBlockFailureNamesContact(t *testing.T) {
+	prof, layout := smallSetup(t)
+	s, err := New(prof, layout, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.lam {
+		s.lam[i] = -s.lam[i]
+	}
+	_, err = s.Solve(make([]float64, s.N()))
+	if err == nil || !strings.Contains(err.Error(), "contact 0 ") {
+		t.Fatalf("got %v, want an error naming contact 0", err)
+	}
+	if _, err := s.SolveBatch([][]float64{make([]float64, s.N())}); err == nil {
+		t.Fatalf("SolveBatch succeeded after the build failed")
 	}
 }
 
@@ -264,11 +362,12 @@ func TestFastSolverPreconditionerNotPromising(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain.Precond = PrecondNone
 	pre, err := New(prof, layout, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.UseFastSolverPrecond(true)
+	pre.Precond = PrecondFastSolver
 	e := make([]float64, layout.N())
 	e[0] = 1
 	want, err := plain.Solve(e)

@@ -75,19 +75,20 @@ func batchBits(t *testing.T, s *Solver, workers int) uint64 {
 	return hashAnswers(outs)
 }
 
-// TestGoldenSolveBits pins the eigenfunction solver's answers, with plain
-// CG and with the §2.3.1 fast-solver preconditioner, against constants,
+// TestGoldenSolveBits pins the eigenfunction solver's answers, under each
+// preconditioner, against constants,
 // through Solve and through SolveBatch: a change to the transforms, the
 // operator, the iteration or the batch path that moves any bit of any
 // answer fails here.
 func TestGoldenSolveBits(t *testing.T) {
 	for _, g := range []struct {
 		name    string
-		precond bool
+		precond Precond
 		want    uint64
 	}{
-		{"cg", false, 0x335af61e4b2bb451},
-		{"fast-solver-pcg", true, 0x23e793e145cca5d8},
+		{"cg", PrecondNone, 0x335af61e4b2bb451},
+		{"fast-solver-pcg", PrecondFastSolver, 0x23e793e145cca5d8},
+		{"block-jacobi", PrecondBlockJacobi, 0xe29557aed308061d},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			prof := substrate.TwoLayer(32, 20, 1, true)
@@ -96,7 +97,7 @@ func TestGoldenSolveBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.UseFastSolverPrecond(g.precond)
+			s.Precond = g.precond
 			if got := solveBits(t, s); got != g.want {
 				t.Errorf("answer hash %#016x, want %#016x", got, g.want)
 			}

@@ -46,7 +46,10 @@ func extractBasis(t *testing.T) (*Basis, *geom.Layout) {
 var gCache = map[string]*la.Dense{}
 
 // exactG extracts the dense G for a small layout with the eigenfunction
-// solver, memoized across tests.
+// solver, memoized across tests. It solves to a relative residual of 1e-12,
+// well below the solver's default 1e-9, so that G is exact to the 1e-9 of
+// max|G| that the tests compare at: at 1e-9, G's error and asymmetry are
+// about 2e-10 of max|G|, under any preconditioner.
 func exactG(t *testing.T, layout *geom.Layout) *la.Dense {
 	t.Helper()
 	key := layout.Name
@@ -58,6 +61,7 @@ func exactG(t *testing.T, layout *geom.Layout) *la.Dense {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Tol = 1e-12
 	g, err := solver.ExtractDense(s)
 	if err != nil {
 		t.Fatal(err)
