@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"subcouple/internal/bem"
 	"subcouple/internal/la"
 	"subcouple/internal/solver"
+	"subcouple/internal/substrate"
 )
 
 func TestEstimateError(t *testing.T) {
@@ -202,6 +204,58 @@ func (p *poisonedSolver) Solve(v []float64) ([]float64, error) {
 		r[len(r)/2] = p.bad
 	}
 	return r, err
+}
+
+// panickingSolver answers like the dense G, except that its 40th call, in
+// whatever order concurrent calls arrive, panics: a black box with a bug.
+type panickingSolver struct {
+	*solver.Dense
+	calls atomic.Int64
+}
+
+func (p *panickingSolver) Solve(v []float64) ([]float64, error) {
+	if p.calls.Add(1) == 40 {
+		panic("black box fault")
+	}
+	return p.Dense.Solve(v)
+}
+
+// TestExtractFailsOnFaultyBlackBox: a black box that panics, or an
+// eigenfunction solver that cannot converge in its iteration limit, fails
+// the extraction with an error, for both methods and any worker count.
+func TestExtractFailsOnFaultyBlackBox(t *testing.T) {
+	layout, g := setup(t)
+	for _, box := range []struct {
+		name string
+		make func(t *testing.T) solver.Solver
+		want string
+	}{
+		{"panic", func(*testing.T) solver.Solver {
+			return &panickingSolver{Dense: solver.NewDense(g)}
+		}, "panicked: black box fault"},
+		{"no-convergence", func(t *testing.T) solver.Solver {
+			s, err := bem.New(substrate.TwoLayer(64, 20, 1, true), layout, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.MaxIts = 2
+			return s
+		}, "did not converge in 2 iterations"},
+	} {
+		for _, m := range []Method{Wavelet, LowRank} {
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%v/workers%d", box.name, m, w), func(t *testing.T) {
+					res, err := Extract(box.make(t), layout, Options{Method: m, MaxLevel: 4, Workers: w})
+					if err == nil {
+						t.Fatalf("extraction succeeded (%d solves) on a faulty black box", res.Solves)
+					}
+					if !strings.Contains(err.Error(), box.want) {
+						t.Fatalf("error %q does not say %q", err, box.want)
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestExtractRejectsNonFiniteAnswers: one NaN or ±Inf in one black-box

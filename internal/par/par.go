@@ -8,6 +8,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -75,14 +76,17 @@ func DoErr(workers, n int, fn func(i int) error) error {
 	return DoWorkerErr(workers, n, func(_, i int) error { return fn(i) })
 }
 
-// DoWorkerErr is DoErr with the pool-slot index exposed (see DoWorker).
+// DoWorkerErr is DoErr with the pool-slot index exposed (see DoWorker). A
+// panic in fn is recovered and becomes item i's error, naming the item, on
+// the inline and the pooled path alike: a faulty item fails the call
+// instead of the process.
 func DoWorkerErr(workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
 	DoWorker(workers, n, func(worker, i int) {
-		errs[i] = fn(worker, i)
+		errs[i] = recovered(fn, worker, i)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -90,4 +94,14 @@ func DoWorkerErr(workers, n int, fn func(worker, i int) error) error {
 		}
 	}
 	return nil
+}
+
+// recovered runs fn(worker, i), turning a panic into an error.
+func recovered(fn func(worker, i int) error, worker, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("par: item %d panicked: %v", i, r)
+		}
+	}()
+	return fn(worker, i)
 }

@@ -2,6 +2,7 @@ package par
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -108,5 +109,27 @@ func TestDoWorkerErrPropagatesLowestIndexError(t *testing.T) {
 	})
 	if err != errLow {
 		t.Fatalf("got %v, want the lowest-index error", err)
+	}
+}
+
+// TestDoWorkerErrRecoversPanics: a panicking item fails the call with an
+// error naming the lowest panicking item, on the inline path (one worker)
+// and the pooled path alike, and every other item still runs.
+func TestDoWorkerErrRecoversPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		err := DoWorkerErr(workers, 20, func(_, i int) error {
+			ran.Add(1)
+			if i == 7 || i == 12 {
+				panic(fmt.Sprintf("fault %d", i))
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "par: item 7 panicked: fault 7" {
+			t.Fatalf("workers=%d: got %v, want item 7's panic", workers, err)
+		}
+		if ran.Load() != 20 {
+			t.Fatalf("workers=%d: %d items ran, want 20", workers, ran.Load())
+		}
 	}
 }
