@@ -125,7 +125,7 @@ func Profile(c Case) *substrate.Profile {
 	return substrate.TwoLayer(c.Layout.A, 40, 1, true)
 }
 
-// BemSolver builds the eigenfunction black-box solver for a case. The CG
+// BemSolver builds the eigenfunction black-box solver for a case. The PCG
 // tolerance is 1e-6: comfortably below the percent-level accuracy the
 // sparsification experiments measure, and several times faster than the
 // solver's 1e-9 default.
