@@ -190,7 +190,7 @@ func (s *Solver) solveOn(parent *obs.Span, track int, ws *workspace, v []float64
 		ws.r[i] = v[c]
 		ws.q[i] = 0
 	}
-	iters, rel, err := s.pcg(ws)
+	iters, rel, err := s.iterate(ws)
 	s.solves.Add(1)
 	s.totalIters.Add(int64(iters))
 	s.rec.Observe("bem/cg_iters", float64(iters))
@@ -246,12 +246,12 @@ func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// pcg solves A_cc·q = b by preconditioned conjugate gradients in ws, with b
-// in ws.r and a zero ws.q on entry, returning the iteration count and the
-// final relative residual ‖r‖/‖b‖ (read-only health signal). Every choice
-// of preconditioner stops on the same unpreconditioned test,
+// iterate solves A_cc·q = b by preconditioned conjugate gradients in ws,
+// with b in ws.r and a zero ws.q on entry, returning the iteration count and
+// the final relative residual ‖r‖/‖b‖ (read-only health signal). Every
+// choice of preconditioner stops on the same unpreconditioned test,
 // ‖r‖ ≤ Tol·‖b‖. Under PrecondNone, z aliases r and this is plain CG.
-func (s *Solver) pcg(ws *workspace) (int, float64, error) {
+func (s *Solver) iterate(ws *workspace) (int, float64, error) {
 	q, r, z, p, ap := ws.q, ws.r, ws.z, ws.p, ws.ap
 	bnorm := la.Norm2(r)
 	if bnorm == 0 {

@@ -121,7 +121,7 @@ func TestApplyAccDoesNotAllocate(t *testing.T) {
 		solve := func() {
 			copy(ws.r, q)
 			clear(ws.q)
-			its, _, err := s.pcg(ws)
+			its, _, err := s.iterate(ws)
 			if err != nil {
 				t.Fatal(err)
 			}
