@@ -340,15 +340,14 @@ func run(out string, short bool, reps int) error {
 	// One instrumented low-rank run for the embedded phase/histogram report
 	// (outputs are bitwise identical to the timed runs; see the determinism
 	// suite).
-	rec := obs.NewRecorder()
-	s.SetRecorder(rec)
+	ms := obs.NewMetrics()
 	res, err := core.Extract(s, c.Layout, core.Options{
-		Method: core.LowRank, MaxLevel: c.MaxLevel, Recorder: rec,
+		Method: core.LowRank, MaxLevel: c.MaxLevel, Metrics: ms,
 	})
-	s.SetRecorder(nil)
 	if err != nil {
 		return err
 	}
+	extractObs, extractNumerics := ms.Report()
 
 	// Apply-path benchmarks: the serving side of the model layer. One op is
 	// a single Q·Gw·Qᵀ·x through the engine's scratch-buffered path, or a
@@ -382,8 +381,8 @@ func run(out string, short bool, reps int) error {
 				"gw_nnz":          res.Gw.NNZ(),
 				"gw_sparsity":     res.Gw.Sparsity(),
 			},
-			Obs:      rec.Snapshot(),
-			Numerics: rec.Numerics(),
+			Obs:      extractObs,
+			Numerics: extractNumerics,
 		},
 	}
 	data, err := json.MarshalIndent(&doc, "", "  ")

@@ -172,7 +172,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *report != "" {
-		if err := writeReport(*report, gw, *addr); err != nil {
+		if err := writeReport(*report, gw, ms, *addr); err != nil {
 			return err
 		}
 		log.Printf("run report written to %s", *report)
@@ -183,9 +183,10 @@ func run(args []string, out io.Writer) error {
 
 // writeReport dumps the routing telemetry as a standard run report, written
 // after the drain so the per-backend totals are final. The obs and numerics
-// sections stay empty: the gateway records into its metrics registry, not a
-// Recorder, and runs no solver.
-func writeReport(path string, gw *gateway.Gateway, addr string) error {
+// sections come from the registry's Report like a batch tool's; they are
+// empty, because the gateway runs no solver and records no batch events.
+func writeReport(path string, gw *gateway.Gateway, ms *obs.Metrics, addr string) error {
+	snap, numerics := ms.Report()
 	rep := &obs.RunReport{
 		Schema: obs.ReportSchema,
 		Tool:   "subgate",
@@ -195,7 +196,8 @@ func writeReport(path string, gw *gateway.Gateway, addr string) error {
 			"num_cpu": runtime.NumCPU(),
 		},
 		Results:  map[string]any{},
-		Numerics: &obs.Numerics{},
+		Obs:      snap,
+		Numerics: numerics,
 		Gateway:  gw.Stats(),
 	}
 	data, err := rep.MarshalIndent()

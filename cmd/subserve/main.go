@@ -179,7 +179,7 @@ func run(args []string, out io.Writer) error {
 	srv.Close() // flushes and waits out every admitted batch
 
 	if *report != "" {
-		if err := writeReport(*report, srv, modelPaths, *addr); err != nil {
+		if err := writeReport(*report, srv, ms, modelPaths, *addr); err != nil {
 			return err
 		}
 		log.Printf("run report written to %s", *report)
@@ -192,9 +192,11 @@ func run(args []string, out io.Writer) error {
 // report is written after the drain, so the serving block (request counts
 // and latency quantiles per endpoint, registry lifecycle) carries final
 // totals with the queue-depth and pool readings back at zero. The obs and
-// numerics sections stay empty: the daemon records into its metrics
-// registry, not a Recorder, and runs no solver.
-func writeReport(path string, srv *serve.Server, models []string, addr string) error {
+// numerics sections come from the registry's Report like a batch tool's;
+// they are empty, because the daemon runs no solver and records no batch
+// events.
+func writeReport(path string, srv *serve.Server, ms *obs.Metrics, models []string, addr string) error {
+	snap, numerics := ms.Report()
 	rep := &obs.RunReport{
 		Schema: obs.ReportSchema,
 		Tool:   "subserve",
@@ -204,7 +206,8 @@ func writeReport(path string, srv *serve.Server, models []string, addr string) e
 			"num_cpu": runtime.NumCPU(),
 		},
 		Results:  map[string]any{},
-		Numerics: &obs.Numerics{},
+		Obs:      snap,
+		Numerics: numerics,
 		Serving:  srv.ServingStats(),
 	}
 	data, err := rep.MarshalIndent()

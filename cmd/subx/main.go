@@ -69,24 +69,32 @@ func run(args []string, out io.Writer) error {
 		workers    = fs.Int("workers", 0, "worker pool size for parallel extraction (0 = all CPUs, 1 = serial); results are identical for any value")
 		report     = fs.String("report", "", "write a JSON run report (phase timings, solve counts, iteration histograms, numerics, result metrics) to this file")
 		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON span trace (open at https://ui.perfetto.dev) to this file")
-		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof and expvar (incl. the live run report under /debug/vars) on this address while running")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof, expvar (incl. the live run report under /debug/vars) and /metrics on this address while running")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *load != "" {
+		if *check || *probes > 0 {
+			return fmt.Errorf("-check and -probes need a live solver and cannot be combined with -load")
+		}
+		if *report != "" {
+			return fmt.Errorf("-report describes an extraction and cannot be combined with -load")
+		}
+	}
 
-	// Observability: a recorder/tracer exists only when something will read
+	// Observability: a registry/tracer exists only when something will read
 	// it — extraction outputs are bitwise identical either way.
-	var rec *obs.Recorder
+	var ms *obs.Metrics
 	if *report != "" || *pprofAddr != "" {
-		rec = obs.NewRecorder()
+		ms = obs.NewMetrics()
 	}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer(0)
 	}
 	if *pprofAddr != "" {
-		publishExpvars(rec)
+		publishExpvars(ms)
 		// Bind synchronously so a bad or busy address fails the run up front
 		// with a real error; ListenAndServe inside the goroutine only logged
 		// the failure after the run had started, and the log line could race
@@ -117,9 +125,6 @@ func run(args []string, out io.Writer) error {
 	if *load != "" {
 		// Serving path: decode the artifact and apply it. No layout
 		// generation, no solver, zero substrate solves.
-		if *check || *probes > 0 {
-			return fmt.Errorf("-check and -probes need a live solver and cannot be combined with -load")
-		}
 		f, err := os.Open(*load)
 		if err != nil {
 			return fmt.Errorf("load: %w", err)
@@ -133,7 +138,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("load %s: %w", *load, err)
 		}
-		res.Engine().SetObs(rec, tracer)
+		res.Engine().SetMetrics(ms)
+		res.Engine().SetTracer(tracer)
 		m = res.Method
 		maxLevel, _ = strconv.Atoi(mdl.Meta["max_level"])
 		log.Printf("model %s: %s, %d contacts, extracted with %d solves (this run: 0)",
@@ -197,7 +203,7 @@ func run(args []string, out io.Writer) error {
 		var err error
 		res, err = core.Extract(s, layout, core.Options{
 			Method: m, MaxLevel: maxLevel, ThresholdFactor: *threshold, Workers: *workers,
-			Recorder: rec, Tracer: tracer,
+			Metrics: ms, Tracer: tracer,
 		})
 		if err != nil {
 			return fmt.Errorf("extract: %w", err)
@@ -206,7 +212,7 @@ func run(args []string, out io.Writer) error {
 	if tracer != nil {
 		// Span overflow folds into the report's drop counters — a trace that
 		// lost spans is labeled as such, never silently truncated.
-		rec.Drop("obs/spans_dropped", tracer.Dropped())
+		ms.Dropped("obs/spans_dropped").Add(tracer.Dropped())
 	}
 
 	// 4. Report.
@@ -294,7 +300,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *report != "" {
-		rep := buildReport(rec, res, est, reportConfig{
+		rep := buildReport(ms, res, est, reportConfig{
 			Layout: *layoutKind, N: *n, Method: m.String(), Solver: *solverKind,
 			Surface: *surface, Depth: *depth, Threshold: *threshold,
 			Workers: *workers, MaxLevel: maxLevel, Contacts: res.N(),
@@ -327,8 +333,8 @@ type reportConfig struct {
 
 // buildReport assembles the schema-stable run report (see DESIGN.md,
 // "Observability"): resolved config, end-of-run result metrics, and the
-// recorder's phases/counters/histograms.
-func buildReport(rec *obs.Recorder, res *core.Result, est *core.ErrorEstimate, cfg reportConfig) *obs.RunReport {
+// registry's phases/counters/histograms and numerics.
+func buildReport(ms *obs.Metrics, res *core.Result, est *core.ErrorEstimate, cfg reportConfig) *obs.RunReport {
 	results := map[string]any{
 		"solves":          res.Solves,
 		"naive_solves":    res.N(),
@@ -347,6 +353,7 @@ func buildReport(rec *obs.Recorder, res *core.Result, est *core.ErrorEstimate, c
 		results["est_mean_rel"] = est.MeanRel
 		results["est_max_rel"] = est.MaxRel
 	}
+	snap, numerics := ms.Report()
 	return &obs.RunReport{
 		Schema: obs.ReportSchema,
 		Tool:   "subx",
@@ -364,18 +371,21 @@ func buildReport(rec *obs.Recorder, res *core.Result, est *core.ErrorEstimate, c
 			"num_cpu":   runtime.NumCPU(),
 		},
 		Results:  results,
-		Obs:      rec.Snapshot(),
-		Numerics: rec.Numerics(),
+		Obs:      snap,
+		Numerics: numerics,
 	}
 }
 
-// Live expvar publication: expvar.Publish panics on duplicate names and run()
-// is re-entered by tests, so registration happens once and the published
-// function reads the current recorder through an atomic pointer. Every scrape
-// re-snapshots, so a long run shows live phase progress under /debug/vars.
+// Live publication on the -pprof listener: expvar.Publish and
+// http.HandleFunc panic on duplicate names and run() is re-entered by tests,
+// so registration happens once and both the "subcouple" expvar and /metrics
+// read the current registry through an atomic pointer. Every scrape
+// re-snapshots, so a long run shows live phase progress under /debug/vars,
+// and /metrics serves the registry in Prometheus text format, as the
+// daemons do.
 var (
 	expvarOnce sync.Once
-	expvarRec  atomic.Pointer[obs.Recorder]
+	expvarMet  atomic.Pointer[obs.Metrics]
 )
 
 // applyFingerprint is model.Engine.Fingerprint on the result's engine: a
@@ -386,9 +396,16 @@ func applyFingerprint(res *core.Result, workers int) uint64 {
 	return res.Engine().Fingerprint(workers)
 }
 
-func publishExpvars(rec *obs.Recorder) {
-	expvarRec.Store(rec)
+func publishExpvars(ms *obs.Metrics) {
+	expvarMet.Store(ms)
 	expvarOnce.Do(func() {
-		expvar.Publish("subcouple", expvar.Func(func() any { return expvarRec.Load().Snapshot() }))
+		expvar.Publish("subcouple", expvar.Func(func() any {
+			snap, _ := expvarMet.Load().Report()
+			return snap
+		}))
+		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			expvarMet.Load().WritePrometheus(w)
+		})
 	})
 }

@@ -6,6 +6,8 @@ import (
 	"expvar"
 	"flag"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -247,12 +249,12 @@ func TestWaveletTraceHasPerSquareSpans(t *testing.T) {
 }
 
 // TestExpvarSnapshotIsLive pins the -pprof expvar contract: the published
-// "subcouple" variable re-snapshots the current recorder on every read, and
-// follows recorder swaps (run() is re-entered by tests and long runs want
+// "subcouple" variable re-snapshots the current registry on every read, and
+// follows registry swaps (run() is re-entered by tests and long runs want
 // live progress, not the state at publish time).
 func TestExpvarSnapshotIsLive(t *testing.T) {
-	rec := obs.NewRecorder()
-	publishExpvars(rec)
+	ms := obs.NewMetrics()
+	publishExpvars(ms)
 	v := expvar.Get("subcouple")
 	if v == nil {
 		t.Fatal("subcouple expvar not published")
@@ -265,19 +267,48 @@ func TestExpvarSnapshotIsLive(t *testing.T) {
 		return s
 	}
 	if got := read().Counters["solver/solves"]; got != 0 {
-		t.Fatalf("fresh recorder shows %d solves", got)
+		t.Fatalf("fresh registry shows %d solves", got)
 	}
-	rec.Add("solver/solves", 5)
+	ms.Event("solver/solves").Add(5)
 	if got := read().Counters["solver/solves"]; got != 5 {
 		t.Fatalf("scrape after recording shows %d solves, want 5 (snapshot not live)", got)
 	}
-	// A second publish (a later run()) must swap the backing recorder
+	// A second publish (a later run()) must swap the backing registry
 	// without panicking on duplicate registration.
-	rec2 := obs.NewRecorder()
-	rec2.Add("solver/solves", 7)
-	publishExpvars(rec2)
+	ms2 := obs.NewMetrics()
+	ms2.Event("solver/solves").Add(7)
+	publishExpvars(ms2)
 	if got := read().Counters["solver/solves"]; got != 7 {
-		t.Fatalf("scrape after recorder swap shows %d solves, want 7", got)
+		t.Fatalf("scrape after registry swap shows %d solves, want 7", got)
+	}
+}
+
+// TestPprofMetricsIsLive pins the -pprof /metrics contract without a
+// listener: the handler registered on the default mux serves the current
+// registry in Prometheus text format, batch events included, and follows
+// registry swaps like the expvar does.
+func TestPprofMetricsIsLive(t *testing.T) {
+	scrape := func() string {
+		rr := httptest.NewRecorder()
+		http.DefaultServeMux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET /metrics: status %d", rr.Code)
+		}
+		return rr.Body.String()
+	}
+	ms := obs.NewMetrics()
+	publishExpvars(ms)
+	solves := ms.Event("solver/solves")
+	solves.Add(5)
+	const want = `subcouple_events_total{name="solver/solves"} 5` + "\n"
+	if body := scrape(); !strings.Contains(body, want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, body)
+	}
+	ms2 := obs.NewMetrics()
+	ms2.Event("solver/solves").Add(2)
+	publishExpvars(ms2)
+	if body := scrape(); !strings.Contains(body, `subcouple_events_total{name="solver/solves"} 2`) {
+		t.Fatalf("/metrics did not follow the registry swap:\n%s", body)
 	}
 }
 
@@ -317,13 +348,22 @@ func TestPprofBindFailsFast(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	for _, args := range [][]string{
-		{"-layout", "nope"},
-		{"-solver", "nope", "-n", "4", "-surface", "16"},
-		{"-load", "/nonexistent/model.scm"},
+	for _, c := range []struct {
+		args []string
+		want string // a substring the error must contain; "" = any error
+	}{
+		{[]string{"-layout", "nope"}, ""},
+		{[]string{"-solver", "nope", "-n", "4", "-surface", "16"}, ""},
+		{[]string{"-load", "/nonexistent/model.scm"}, ""},
+		// A loaded model spends no solves, so there is no extraction to
+		// report on: rejected before any work.
+		{[]string{"-load", "/nonexistent/model.scm", "-report", filepath.Join(t.TempDir(), "r.json")}, "-report"},
 	} {
-		if err := run(args, &out); err == nil {
-			t.Errorf("args %v: expected error", args)
+		err := run(c.args, &out)
+		if err == nil {
+			t.Errorf("args %v: expected error", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: error %q does not name %s", c.args, err, c.want)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func main() {
 		experiments.ModelDir = *models
 	}
 	if *report != "" {
-		experiments.Recorder = obs.NewRecorder()
+		experiments.Metrics = obs.NewMetrics()
 	}
 	if *trace != "" {
 		experiments.Tracer = obs.NewTracer(0)
@@ -84,7 +84,7 @@ func main() {
 	}
 
 	if *trace != "" {
-		experiments.Recorder.Drop("obs/spans_dropped", experiments.Tracer.Dropped())
+		experiments.Metrics.Dropped("obs/spans_dropped").Add(experiments.Tracer.Dropped())
 		if err := writeTrace(*trace, experiments.Tracer); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
@@ -112,11 +112,12 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return f.Close()
 }
 
-// writeReport dumps the run-wide recorder — phases, solve counters and
+// writeReport dumps the run-wide registry — phases, solve counters and
 // iteration histograms aggregated across every table that ran — as a
-// subcouple-run-report/v1 document (same schema as subx -report, minus the
-// single-extraction result metrics).
+// run report (same schema as subx -report, minus the single-extraction
+// result metrics).
 func writeReport(path, table string, small, large bool, workers int) error {
+	snap, numerics := experiments.Metrics.Report()
 	rep := &obs.RunReport{
 		Schema: obs.ReportSchema,
 		Tool:   "tables",
@@ -127,8 +128,8 @@ func writeReport(path, table string, small, large bool, workers int) error {
 			"workers": workers,
 		},
 		Results:  map[string]any{},
-		Obs:      experiments.Recorder.Snapshot(),
-		Numerics: experiments.Recorder.Numerics(),
+		Obs:      snap,
+		Numerics: numerics,
 	}
 	data, err := rep.MarshalIndent()
 	if err != nil {

@@ -54,8 +54,9 @@ type Solver struct {
 	solves     atomic.Int64
 	totalIters atomic.Int64
 
-	rec *obs.Recorder // PCG iteration histogram + precond-setup phase
-	tr  *obs.Tracer   // per-solve spans with convergence args
+	ms             *obs.Metrics   // precond-setup phase
+	mIters, mFinal *obs.Histogram // per-solve iteration count, final residual
+	tr             *obs.Tracer    // per-solve spans with convergence args
 }
 
 // New builds a solver for the layout on the profile with an np-by-np panel
@@ -193,8 +194,8 @@ func (s *Solver) solveOn(parent *obs.Span, track int, ws *workspace, v []float64
 	iters, rel, err := s.iterate(ws)
 	s.solves.Add(1)
 	s.totalIters.Add(int64(iters))
-	s.rec.Observe("bem/cg_iters", float64(iters))
-	s.rec.Residual("bem/cg_final_rel", rel)
+	s.mIters.Observe(float64(iters))
+	s.mFinal.Observe(rel)
 	sp.Arg("cg_iters", iters).Arg("final_rel", rel).End()
 	if err != nil {
 		return nil, err
@@ -209,15 +210,17 @@ func (s *Solver) solveOn(parent *obs.Span, track int, ws *workspace, v []float64
 // SetWorkers implements solver.WorkerSetter.
 func (s *Solver) SetWorkers(w int) { s.Workers = w }
 
-// SetRecorder implements obs.RecorderSetter: PCG iteration counts land in
-// the "bem/cg_iters" histogram, final relative residuals in the
+// SetObs implements obs.Setter: PCG iteration counts land in the
+// "bem/cg_iters" histogram, final relative residuals in the
 // "bem/cg_final_rel" numerics stat, and the one-time preconditioner build is
-// timed as phase "bem/precond_setup".
-func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
-// SetTracer implements obs.TracerSetter: each solve emits a "bem/solve" span
+// timed as phase "bem/precond_setup". Each solve emits a "bem/solve" span
 // (per-worker tracks under a "bem/batch" span for batched solves).
-func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
+func (s *Solver) SetObs(ms *obs.Metrics, tr *obs.Tracer) {
+	s.ms = ms
+	s.mIters = ms.Observed("bem/cg_iters")
+	s.mFinal = ms.Residual("bem/cg_final_rel")
+	s.tr = tr
+}
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
 // run as concurrent PCG solves on the worker pool. Each pool slot owns one

@@ -28,7 +28,7 @@ const (
 // solves share the one build.
 func (s *Solver) ensurePrecond() error {
 	s.initOnce.Do(func() {
-		stop := s.rec.Phase("bem/precond_setup")
+		stop := s.ms.Phase("bem/precond_setup")
 		defer stop()
 		switch s.Precond {
 		case PrecondBlockJacobi:

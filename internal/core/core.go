@@ -77,14 +77,15 @@ type Options struct {
 	// determinism suite). 0 means unbounded. Ignored by the wavelet method,
 	// whose per-level batches are already O(levels) vectors.
 	MaxBatchBytes int64
-	// Recorder, when non-nil, collects per-phase wall times, solve counts,
-	// batch stats, and (for instrumented solvers) iteration histograms
-	// during the extraction. Recording never changes extraction outputs —
-	// they stay bitwise identical to a nil-recorder run.
-	Recorder *obs.Recorder
+	// Metrics, when non-nil, collects per-phase wall times, solve counts,
+	// batch stats, rank cuts, (for instrumented solvers) iteration and
+	// residual histograms during the extraction, and the result engine's
+	// apply durations. Recording never changes extraction outputs — they
+	// stay bitwise identical to a nil-registry run.
+	Metrics *obs.Metrics
 	// Tracer, when non-nil, collects hierarchical spans (per level, square,
 	// batch, worker, and solve) for Chrome trace-event export. Like the
-	// recorder, tracing never changes extraction outputs.
+	// registry, tracing never changes extraction outputs.
 	Tracer *obs.Tracer
 }
 
@@ -144,13 +145,12 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 	// and the Parallel adapter fans them across the worker pool — unless s
 	// natively batches, in which case its own implementation is preferred.
 	counting := solver.NewCounting(solver.Parallel(s, opt.Workers))
-	// One SetRecorder call wires the whole chain: the counter streams solve
-	// and batch stats, the pool its worker utilization, and an instrumented
-	// backend (fd, bem) its iteration histograms. SetTracer wires spans the
-	// same way. Nil recorder/tracer = no-op.
-	counting.SetRecorder(opt.Recorder)
-	counting.SetTracer(opt.Tracer)
-	defer opt.Recorder.Phase("core/extract")()
+	// One SetObs call wires the whole chain: the counter streams solve and
+	// batch stats, the pool its worker utilization, and an instrumented
+	// backend (fd, bem) its iteration histograms and spans. Nil
+	// registry/tracer = no-op.
+	counting.SetObs(opt.Metrics, opt.Tracer)
+	defer opt.Metrics.Phase("core/extract")()
 	rootSpan := opt.Tracer.Begin("core/extract").
 		Arg("method", opt.Method.String()).Arg("contacts", layout.N()).Arg("workers", opt.Workers)
 	defer rootSpan.End()
@@ -163,7 +163,7 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 		if p == 0 {
 			p = 2
 		}
-		b, err := wavelet.NewBasisObs(layout, tree, p, opt.Workers, opt.Recorder, opt.Tracer)
+		b, err := wavelet.NewBasisObs(layout, tree, p, opt.Workers, opt.Metrics, opt.Tracer)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +196,7 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 		if lopt.MaxBatchBytes == 0 {
 			lopt.MaxBatchBytes = opt.MaxBatchBytes
 		}
-		lopt.Rec = opt.Recorder
+		lopt.Metrics = opt.Metrics
 		lopt.Trace = opt.Tracer
 		rep, err := lowrank.Build(layout, tree, counting, lopt)
 		if err != nil {
@@ -213,7 +213,7 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 	res.Solves = counting.Solves
 	rootSpan.Arg("solves", res.Solves)
 	if opt.ThresholdFactor > 0 {
-		stop := opt.Recorder.Phase("core/threshold")
+		stop := opt.Metrics.Phase("core/threshold")
 		tsp := rootSpan.Child("core/threshold")
 		res.Gwt = res.Gw.ThresholdForSparsity(opt.ThresholdFactor * res.Gw.Sparsity())
 		tsp.Arg("nnz", res.Gwt.NNZ()).End()
@@ -228,7 +228,8 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 	}
 	res.model = m
 	res.engine = model.NewEngine(m)
-	res.engine.SetObs(opt.Recorder, opt.Tracer)
+	res.engine.SetMetrics(opt.Metrics)
+	res.engine.SetTracer(opt.Tracer)
 	return res, nil
 }
 

@@ -98,21 +98,21 @@ func TestExtractionDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRecorderDoesNotChangeOutputs is the observability layer's guarantee:
-// extraction with a live obs.Recorder is bitwise identical — Q, Gw, Gwt,
-// solve count — to a nil-recorder run on the 256-contact benchmark layout,
-// and costs little enough that the instrumented run stays within a generous
-// wall-time factor of the bare one (a loose guard, since single runs on a
-// shared box are noisy).
-func TestRecorderDoesNotChangeOutputs(t *testing.T) {
+// TestBatchMetricsDoNotChangeOutputs is the observability layer's
+// guarantee: extraction with a live obs.Metrics is bitwise identical — Q,
+// Gw, Gwt, solve count — to a nil-registry run on the 256-contact benchmark
+// layout, and costs little enough that the instrumented run stays within a
+// generous wall-time factor of the bare one (a loose guard, since single
+// runs on a shared box are noisy).
+func TestBatchMetricsDoNotChangeOutputs(t *testing.T) {
 	raw := geom.AlternatingGrid(64, 64, 16, 16, 1, 3) // 256 contacts
 	layout, maxLevel := core.Prepare(raw, 4)
 	g := experiments.SyntheticG(layout)
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
 		opt := core.Options{Method: method, MaxLevel: maxLevel, ThresholdFactor: 6}
-		run := func(rec *obs.Recorder) (*core.Result, time.Duration) {
+		run := func(ms *obs.Metrics) (*core.Result, time.Duration) {
 			o := opt
-			o.Recorder = rec
+			o.Metrics = ms
 			start := time.Now()
 			res, err := core.Extract(solver.NewDense(g), layout, o)
 			if err != nil {
@@ -121,32 +121,32 @@ func TestRecorderDoesNotChangeOutputs(t *testing.T) {
 			return res, time.Since(start)
 		}
 		bare, bareT := run(nil)
-		rec := obs.NewRecorder()
-		live, liveT := run(rec)
+		ms := obs.NewMetrics()
+		live, liveT := run(ms)
 
 		what := method.String()
 		if live.Solves != bare.Solves {
-			t.Errorf("%s: %d solves with recorder vs %d without", what, live.Solves, bare.Solves)
+			t.Errorf("%s: %d solves with metrics vs %d without", what, live.Solves, bare.Solves)
 		}
 		sameMatrix(t, what+" Gw", bare.Gw, live.Gw)
 		sameMatrix(t, what+" Gwt", bare.Gwt, live.Gwt)
 		sameMatrix(t, what+" Q", bare.Q(), live.Q())
 
-		s := rec.Snapshot()
+		s, _ := ms.Report()
 		if len(s.Phases) == 0 {
-			t.Errorf("%s: recorder saw no phases", what)
+			t.Errorf("%s: registry saw no phases", what)
 		}
 		if got := s.Counters["solver/solves"]; got != int64(bare.Solves) {
-			t.Errorf("%s: recorder counted %d solves, extraction reports %d", what, got, bare.Solves)
+			t.Errorf("%s: registry counted %d solves, extraction reports %d", what, got, bare.Solves)
 		}
 		if liveT > 2*bareT+50*time.Millisecond {
-			t.Errorf("%s: instrumented run took %v vs %v bare — recorder overhead too high", what, liveT, bareT)
+			t.Errorf("%s: instrumented run took %v vs %v bare — recording overhead too high", what, liveT, bareT)
 		}
 	}
 }
 
 // TestTracerDoesNotChangeOutputs extends the observability guarantee to
-// span tracing: extraction with a live tracer (and recorder) is bitwise
+// span tracing: extraction with a live tracer (and registry) is bitwise
 // identical to an untraced run for both methods and a parallel worker
 // count, and the trace actually covers the run — spans on the main track
 // plus at least one worker track, with no spans silently lost.
@@ -160,7 +160,7 @@ func TestTracerDoesNotChangeOutputs(t *testing.T) {
 			o := opt
 			o.Tracer = tr
 			if tr != nil {
-				o.Recorder = obs.NewRecorder()
+				o.Metrics = obs.NewMetrics()
 			}
 			res, err := core.Extract(solver.NewDense(g), layout, o)
 			if err != nil {

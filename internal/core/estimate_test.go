@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"subcouple/internal/bem"
+	"subcouple/internal/fd"
+	"subcouple/internal/geom"
 	"subcouple/internal/la"
 	"subcouple/internal/solver"
 	"subcouple/internal/substrate"
@@ -221,19 +223,24 @@ func (p *panickingSolver) Solve(v []float64) ([]float64, error) {
 }
 
 // TestExtractFailsOnFaultyBlackBox: a black box that panics, or an
-// eigenfunction solver that cannot converge in its iteration limit, fails
-// the extraction with an error, for both methods and any worker count.
+// eigenfunction or finite-difference solver that cannot converge in its
+// iteration limit, fails the extraction with an error, for both methods and
+// any worker count. The fd entry runs on a smaller layout of its own, where
+// a grid solve is cheap.
 func TestExtractFailsOnFaultyBlackBox(t *testing.T) {
 	layout, g := setup(t)
+	small := geom.RegularGrid(32, 32, 8, 8, 2)
 	for _, box := range []struct {
-		name string
-		make func(t *testing.T) solver.Solver
-		want string
+		name     string
+		layout   *geom.Layout
+		maxLevel int
+		make     func(t *testing.T) solver.Solver
+		want     string
 	}{
-		{"panic", func(*testing.T) solver.Solver {
+		{"panic", layout, 4, func(*testing.T) solver.Solver {
 			return &panickingSolver{Dense: solver.NewDense(g)}
 		}, "panicked: black box fault"},
-		{"no-convergence", func(t *testing.T) solver.Solver {
+		{"no-convergence", layout, 4, func(t *testing.T) solver.Solver {
 			s, err := bem.New(substrate.TwoLayer(64, 20, 1, true), layout, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -241,11 +248,24 @@ func TestExtractFailsOnFaultyBlackBox(t *testing.T) {
 			s.MaxIts = 2
 			return s
 		}, "did not converge in 2 iterations"},
+		{"fd-no-convergence", small, 3, func(t *testing.T) solver.Solver {
+			prof := substrate.TwoLayer(32, 10, 1, true)
+			prof.Layers[0].Thickness = 2 // align the layer boundary with the grid
+			prof.Layers[1].Thickness = 7
+			s, err := fd.New(prof, small, fd.Options{
+				H: 1, Placement: fd.Inside, Precond: fd.PrecondFastPoisson, AreaWeighted: true,
+				MaxIts: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, "did not converge in 2 iterations"},
 	} {
 		for _, m := range []Method{Wavelet, LowRank} {
 			for _, w := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%v/workers%d", box.name, m, w), func(t *testing.T) {
-					res, err := Extract(box.make(t), layout, Options{Method: m, MaxLevel: 4, Workers: w})
+					res, err := Extract(box.make(t), box.layout, Options{Method: m, MaxLevel: box.maxLevel, Workers: w})
 					if err == nil {
 						t.Fatalf("extraction succeeded (%d solves) on a faulty black box", res.Solves)
 					}

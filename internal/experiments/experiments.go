@@ -29,11 +29,11 @@ import (
 // -workers flag. Results are bitwise-identical for any value.
 var Workers int
 
-// Recorder, when non-nil, is threaded into every extraction and
+// Metrics, when non-nil, is threaded into every extraction and
 // instrumented solver the runners build, so cmd/tables -report can
 // aggregate phase timings and iteration histograms across a whole table
 // run. Recording never changes any table result.
-var Recorder *obs.Recorder
+var Metrics *obs.Metrics
 
 // Tracer, when non-nil, is threaded into every extraction and instrumented
 // solver the same way, so cmd/tables -trace can export one Chrome
@@ -136,8 +136,7 @@ func BemSolver(c Case) (*bem.Solver, error) {
 	}
 	s.Tol = 1e-6
 	s.Workers = Workers
-	s.SetRecorder(Recorder)
-	s.SetTracer(Tracer)
+	s.SetObs(Metrics, Tracer)
 	return s, nil
 }
 
@@ -230,7 +229,8 @@ func loadCachedModel(c Case, method core.Method) *core.Result {
 	if err != nil {
 		return nil
 	}
-	res.Engine().SetObs(Recorder, Tracer)
+	res.Engine().SetMetrics(Metrics)
+	res.Engine().SetTracer(Tracer)
 	return res
 }
 
@@ -255,7 +255,7 @@ func runSparsifySampled(c Case, s solver.Solver, exact *la.Dense, cols []int, me
 		var err error
 		res, err = core.Extract(s, c.Layout, core.Options{
 			Method: method, MaxLevel: c.MaxLevel, ThresholdFactor: 6, LowRank: lopt,
-			Workers: Workers, Recorder: Recorder, Tracer: Tracer,
+			Workers: Workers, Metrics: Metrics, Tracer: Tracer,
 		})
 		if err != nil {
 			return SparsifyStats{}, fmt.Errorf("extract %s/%v: %w", c.Name, method, err)
@@ -336,7 +336,7 @@ func Table21(scale Scale) ([]PrecondStats, error) {
 			return nil, err
 		}
 		if _, err := core.Extract(s, layout, core.Options{
-			Method: core.Wavelet, MaxLevel: maxLevel, Workers: Workers, Recorder: Recorder,
+			Method: core.Wavelet, MaxLevel: maxLevel, Workers: Workers, Metrics: Metrics,
 			Tracer: Tracer,
 		}); err != nil {
 			return nil, err
@@ -382,10 +382,8 @@ func Table22(scale Scale) ([]SolverSpeed, error) {
 		return nil, err
 	}
 	bemS.Tol = 1e-6
-	fdS.SetRecorder(Recorder)
-	bemS.SetRecorder(Recorder)
-	fdS.SetTracer(Tracer)
-	bemS.SetTracer(Tracer)
+	fdS.SetObs(Metrics, Tracer)
+	bemS.SetObs(Metrics, Tracer)
 	run := func(s solver.Solver) (float64, error) {
 		e := make([]float64, layout.N())
 		start := time.Now()

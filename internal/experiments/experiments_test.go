@@ -117,9 +117,9 @@ func TestModelDirCache(t *testing.T) {
 	layout, maxLevel := core.Prepare(geom.RegularGrid(64, 64, 8, 8, 4), 4)
 	c := Case{"cache-test", layout, maxLevel, 0}
 	g := SyntheticG(c.Layout)
-	defer func() { ModelDir = ""; Recorder = nil }()
+	defer func() { ModelDir = ""; Metrics = nil }()
 	ModelDir = t.TempDir()
-	Recorder = nil
+	Metrics = nil
 
 	first, err := RunSparsify(c, g, core.LowRank, 8)
 	if err != nil {
@@ -130,13 +130,13 @@ func TestModelDirCache(t *testing.T) {
 	}
 
 	// The second run must not issue a single solve: observe through a
-	// recorder, which counts every black-box call the extraction makes.
-	Recorder = obs.NewRecorder()
+	// registry, which counts every black-box call the extraction makes.
+	Metrics = obs.NewMetrics()
 	second, err := RunSparsify(c, g, core.LowRank, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := Recorder.Snapshot().Counters["solver/solves"]; n != 0 {
+	if n := Metrics.Event("solver/solves").Value(); n != 0 {
 		t.Fatalf("cached run issued %d substrate solves, want 0", n)
 	}
 
@@ -146,13 +146,13 @@ func TestModelDirCache(t *testing.T) {
 	}
 
 	// Ablation runs must bypass the cache (their options differ from the
-	// artifact's): the recorder must now see real solves.
+	// artifact's): the registry must now see real solves.
 	lopt := lowrank.DefaultOptions()
 	lopt.MaxRank = 3
 	if _, err := RunSparsifyOpts(c, g, core.LowRank, 8, lopt); err != nil {
 		t.Fatal(err)
 	}
-	if n := Recorder.Snapshot().Counters["solver/solves"]; n == 0 {
+	if n := Metrics.Event("solver/solves").Value(); n == 0 {
 		t.Fatal("ablation run served the default-option cache")
 	}
 

@@ -107,13 +107,13 @@ func SyntheticSolver(c Case) *la.Dense { return SyntheticG(c.Layout) }
 // identical either way, so the point's solves/nnz never depend on it.
 func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method, maxBatchBytes int64) (ScalingPoint, error) {
 	c := sc.Case
-	rec := obs.NewRecorder()
+	ms := obs.NewMetrics()
 	runtime.GC() // start each rung from a collected heap so peaks are comparable
 	sampler := obs.NewHeapSampler(0)
 	start := time.Now()
 	res, err := core.Extract(solver.NewDense(g), c.Layout, core.Options{
 		Method: method, MaxLevel: c.MaxLevel, ThresholdFactor: 6,
-		Workers: Workers, MaxBatchBytes: maxBatchBytes, Recorder: rec,
+		Workers: Workers, MaxBatchBytes: maxBatchBytes, Metrics: ms,
 	})
 	seconds := time.Since(start).Seconds()
 	peakHeap := sampler.Stop()
@@ -137,7 +137,8 @@ func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method, maxBatchBy
 	if rss, ok := obs.PeakRSS(); ok {
 		p.PeakRSSBytes = rss
 	}
-	for _, ph := range rec.Snapshot().Phases {
+	phases, _ := ms.Report()
+	for _, ph := range phases.Phases {
 		p.PhaseSeconds[ph.Name] = ph.Seconds
 	}
 	return p, nil

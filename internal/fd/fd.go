@@ -114,8 +114,9 @@ type Solver struct {
 	solves     atomic.Int64
 	totalIters atomic.Int64
 
-	rec *obs.Recorder // PCG iteration histogram + precond-setup phase
-	tr  *obs.Tracer   // per-solve spans with convergence args
+	ms             *obs.Metrics   // precond-setup phase
+	mIters, mFinal *obs.Histogram // per-solve iteration count, final residual
+	tr             *obs.Tracer    // per-solve spans with convergence args
 }
 
 // New builds a finite-difference solver. The lateral dimensions and depth of
@@ -363,7 +364,7 @@ func (s *Solver) rhs(v []float64) []float64 {
 // Solve calls would otherwise race on the lazy builds.
 func (s *Solver) ensurePrecond() error {
 	s.initOnce.Do(func() {
-		stop := s.rec.Phase("fd/precond_setup")
+		stop := s.ms.Phase("fd/precond_setup")
 		defer stop()
 		switch s.Opt.Precond {
 		case PrecondIC0:
@@ -404,8 +405,8 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 	iters, rel, err := s.pcg(x, b)
 	s.solves.Add(1)
 	s.totalIters.Add(int64(iters))
-	s.rec.Observe("fd/pcg_iters", float64(iters))
-	s.rec.Residual("fd/pcg_final_rel", rel)
+	s.mIters.Observe(float64(iters))
+	s.mFinal.Observe(rel)
 	sp.Arg("pcg_iters", iters).Arg("final_rel", rel).End()
 	if err != nil {
 		return nil, err
@@ -416,15 +417,17 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 // SetWorkers implements solver.WorkerSetter.
 func (s *Solver) SetWorkers(w int) { s.Opt.Workers = w }
 
-// SetRecorder implements obs.RecorderSetter: PCG iteration counts land in
-// the "fd/pcg_iters" histogram, final relative residuals in the
+// SetObs implements obs.Setter: PCG iteration counts land in the
+// "fd/pcg_iters" histogram, final relative residuals in the
 // "fd/pcg_final_rel" numerics stat, and the one-time preconditioner build is
-// timed as phase "fd/precond_setup".
-func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
-// SetTracer implements obs.TracerSetter: each solve emits an "fd/solve" span
+// timed as phase "fd/precond_setup". Each solve emits an "fd/solve" span
 // (per-worker tracks under an "fd/batch" span for batched solves).
-func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
+func (s *Solver) SetObs(ms *obs.Metrics, tr *obs.Tracer) {
+	s.ms = ms
+	s.mIters = ms.Observed("fd/pcg_iters")
+	s.mFinal = ms.Residual("fd/pcg_final_rel")
+	s.tr = tr
+}
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
 // run as concurrent PCG solves on the worker pool. Each solve is a fully

@@ -63,10 +63,10 @@ type Options struct {
 	// same order, so results are bitwise identical for any budget — only
 	// peak memory and the batch sizes the solver sees move.
 	MaxBatchBytes int64
-	// Rec, when non-nil, receives per-phase wall times and solve counters
-	// for the build and the fine-to-coarse transform. Recording never
-	// changes the representation.
-	Rec *obs.Recorder
+	// Metrics, when non-nil, receives per-phase wall times, solve counters
+	// and rank cuts for the build and the fine-to-coarse transform.
+	// Recording never changes the representation.
+	Metrics *obs.Metrics
 	// Trace, when non-nil, receives per-level and per-square spans
 	// (row_basis/respond/sweep/gw_assembly) with rank and spectrum-head
 	// args. Tracing never changes the representation either.
@@ -192,8 +192,9 @@ func Build(layout *geom.Layout, tree *quadtree.Tree, s solver.Solver, opt Option
 	r := &Rep{Layout: layout, Tree: tree, Opt: opt}
 	// Register the clip counter up front so "never clipped" shows as an
 	// explicit zero in the report's numerics section.
-	opt.Rec.Drop("lowrank/rank_clipped", 0)
-	stopRowBasis := opt.Rec.Phase("lowrank/row_basis")
+	clipped := opt.Metrics.Dropped("lowrank/rank_clipped")
+	rowRank := opt.Metrics.Rank("lowrank/row_rank")
+	stopRowBasis := opt.Metrics.Phase("lowrank/row_basis")
 	L := tree.MaxLevel
 	r.data = make([][]*squareData, L+1)
 	for lev := 2; lev <= L; lev++ {
@@ -276,9 +277,9 @@ func Build(layout *geom.Layout, tree *quadtree.Tree, s solver.Solver, opt Option
 			if sd == nil {
 				continue
 			}
-			opt.Rec.Rank("lowrank/row_rank", sd.V.Cols)
+			rowRank.Observe(float64(sd.V.Cols))
 			if la.RankByThreshold(sigmas[i], opt.RankTol, 0) > sd.V.Cols {
-				opt.Rec.Drop("lowrank/rank_clipped", 1)
+				clipped.Inc()
 			}
 		}
 		// 4. Responses to the row-basis columns, by the same machinery.
@@ -320,7 +321,7 @@ func Build(layout *geom.Layout, tree *quadtree.Tree, s solver.Solver, opt Option
 
 	stopRowBasis()
 
-	stopFinest := opt.Rec.Phase("lowrank/finest_local")
+	stopFinest := opt.Metrics.Phase("lowrank/finest_local")
 	err := r.buildFinestLocal(s)
 	stopFinest()
 	if err != nil {
@@ -391,12 +392,12 @@ func (r *Rep) groupChunk(n, groups int) int {
 // slots so the result is bitwise identical for any worker count and any
 // byte budget.
 func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
-	defer r.Opt.Rec.Phase("lowrank/respond")()
+	defer r.Opt.Metrics.Phase("lowrank/respond")()
 	rsp := r.Opt.Trace.Begin("lowrank/respond").Arg("level", lev).Arg("vectors", len(batch))
 	defer rsp.End()
 	n := r.Layout.N()
 	if lev == 2 || !r.Opt.CombineSolves {
-		r.Opt.Rec.Add("lowrank/solves_respond", int64(len(batch)))
+		r.Opt.Metrics.Event("lowrank/solves_respond").Add(int64(len(batch)))
 		rsp.Arg("solves", len(batch))
 		chunk := r.groupChunk(n, len(batch))
 		for base := 0; base < len(batch); base += chunk {
@@ -460,7 +461,7 @@ func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
 		o    []float64 // v − V_p·coef, over parent contacts
 		y    []float64 // the group's combined response
 	}
-	r.Opt.Rec.Add("lowrank/solves_respond", int64(len(keys)))
+	r.Opt.Metrics.Event("lowrank/solves_respond").Add(int64(len(keys)))
 	rsp.Arg("solves", len(keys))
 	// Groups are processed in chunks of at most groupChunk under the byte
 	// budget (one chunk when unbounded): pass 1 builds the chunk's thetas,
@@ -613,7 +614,7 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 		}
 		return a.m < b.m
 	})
-	r.Opt.Rec.Add("lowrank/solves_w", int64(len(keys)))
+	r.Opt.Metrics.Event("lowrank/solves_w").Add(int64(len(keys)))
 	// Like respond, the W-column solves run in byte-budgeted chunks (one
 	// chunk when unbounded), each separated before the next is built.
 	chunk := r.groupChunk(n, len(keys))

@@ -63,7 +63,7 @@ type sweepSquare struct {
 // Transform runs the fine-to-coarse sweep (§4.4). No black-box solves are
 // needed: everything comes from the row-basis representation.
 func (r *Rep) Transform() *Transformed {
-	stopSweep := r.Opt.Rec.Phase("lowrank/sweep")
+	stopSweep := r.Opt.Metrics.Phase("lowrank/sweep")
 	swp := r.Opt.Trace.Begin("lowrank/sweep")
 	tr := &Transformed{Rep: r}
 	L := r.Tree.MaxLevel
@@ -97,6 +97,7 @@ func (r *Rep) Transform() *Transformed {
 	// Sweep upward. Parent recombinations within a level only read the
 	// finer level's state, so each runs independently on the worker pool;
 	// slot-indexed results keep the sweep order-independent.
+	sweepRank := r.Opt.Metrics.Rank("lowrank/sweep_rank")
 	for lev := L; lev > 2; lev-- {
 		parents := r.Tree.SquaresAt(lev - 1)
 		built := make([]*sweepSquare, len(parents))
@@ -115,7 +116,7 @@ func (r *Rep) Transform() *Transformed {
 		next := make(map[int]*sweepSquare)
 		for i, psq := range parents {
 			if built[i] != nil {
-				r.Opt.Rec.Rank("lowrank/sweep_rank", built[i].rank)
+				sweepRank.Observe(float64(built[i].rank))
 				next[psq.ID] = built[i]
 			}
 		}
@@ -141,7 +142,7 @@ func (r *Rep) Transform() *Transformed {
 	stopSweep()
 	swp.End()
 
-	stopAssemble := r.Opt.Rec.Phase("lowrank/gw_assembly")
+	stopAssemble := r.Opt.Metrics.Phase("lowrank/gw_assembly")
 	tr.assembleGw(state)
 	stopAssemble()
 	return tr

@@ -34,7 +34,6 @@ const MetricApplySeconds = "subcouple_engine_apply_seconds"
 // identical to the in-memory extraction result's.
 type Engine struct {
 	m    *Model
-	rec  *obs.Recorder
 	tr   *obs.Tracer
 	sc   *scratch
 	pool []*scratch // per-worker scratch for panel chunks, grown on demand
@@ -127,19 +126,15 @@ func (e *Engine) Model() *Model { return e.m }
 // N returns the operator dimension.
 func (e *Engine) N() int { return e.m.N }
 
-// SetObs attaches an optional recorder (apply-phase timers and counters) and
-// tracer (per-panel spans). Nil values record nothing; observability never
-// changes apply outputs.
-func (e *Engine) SetObs(rec *obs.Recorder, tr *obs.Tracer) {
-	e.rec = rec
-	e.tr = tr
-}
+// SetTracer attaches an optional tracer (per-panel spans). A nil tracer
+// records nothing; tracing never changes apply outputs.
+func (e *Engine) SetTracer(tr *obs.Tracer) { e.tr = tr }
 
-// SetMetrics attaches the live kernel-duration histograms (MetricApplySeconds,
-// labeled with the entry-point kind). Engines sharing one registry share the
-// series — the registry hands back the same handle — so a pool aggregates
-// naturally. A nil registry leaves recording a no-op; like SetObs, metrics
-// never change apply outputs.
+// SetMetrics attaches the kernel-duration histograms (MetricApplySeconds,
+// labeled with the entry-point kind), where every apply is recorded once.
+// Engines sharing one registry share the series — the registry hands back
+// the same handle — so a pool aggregates naturally. A nil registry leaves
+// recording a no-op; like tracing, metrics never change apply outputs.
 func (e *Engine) SetMetrics(ms *obs.Metrics) {
 	const help = "engine kernel duration by serving mode and entry-point kind"
 	e.mApply = ms.Histogram(MetricApplySeconds, help, "kind", "single", "mode", "exact")
@@ -213,8 +208,6 @@ func (e *Engine) ApplyInto(dst, x []float64) {
 	e.checkAlias("ApplyInto", dst, x)
 	e.acquire("ApplyInto")
 	defer e.release()
-	defer e.rec.Phase("model/apply")()
-	e.rec.Add("model/applies", 1)
 	start := time.Now()
 	e.panelRun(dst, x, e.m.Gw, 1, 1, nil)
 	e.mApply.Observe(time.Since(start).Seconds())
@@ -229,8 +222,6 @@ func (e *Engine) ColumnInto(dst []float64, j int, thresholded bool) {
 	e.checkIndex("ColumnInto", j)
 	e.acquire("ColumnInto")
 	defer e.release()
-	defer e.rec.Phase("model/column")()
-	e.rec.Add("model/columns", 1)
 	start := time.Now()
 	e.sc.unit[j] = 1
 	defer e.sc.clearUnit(j)
@@ -245,8 +236,6 @@ func (e *Engine) QColumnInto(dst []float64, j int) {
 	e.checkIndex("QColumnInto", j)
 	e.acquire("QColumnInto")
 	defer e.release()
-	defer e.rec.Phase("model/column")()
-	e.rec.Add("model/columns", 1)
 	switch e.m.Kind {
 	case QColumns:
 		for i := range dst {

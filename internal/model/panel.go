@@ -58,8 +58,6 @@ func (e *Engine) ApplyPanelInto(dst, x []float64, k, workers int, thresholded bo
 	e.checkPanelArgs("ApplyPanelInto", dst, x, k)
 	e.acquire("ApplyPanelInto")
 	defer e.release()
-	defer e.rec.Phase("model/apply_panel")()
-	e.rec.Add("model/panel_cols", int64(k))
 	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()

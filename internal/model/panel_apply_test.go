@@ -178,16 +178,16 @@ func TestColumnPanicLeavesUnitClean(t *testing.T) {
 	}
 }
 
-// TestColumnRecorderKeys pins the column-path instrumentation: subserve's
-// /column traffic used to be invisible in run reports because the column
-// applies recorded no phase or counter. Every column entry point must now
-// show up under the model/column phase and model/columns counter, and the
-// panel path under model/apply_panel + model/panel_cols.
-func TestColumnRecorderKeys(t *testing.T) {
+// TestApplyMetricsKeys pins where each entry point records: every operator
+// apply is recorded once, into the kernel histogram of its kind — column
+// applies (thresholded or not) under kind="column", panels under
+// kind="panel", single applies under kind="single" — and materializing a
+// column of Q records nothing.
+func TestApplyMetricsKeys(t *testing.T) {
 	res := extract256(t, core.LowRank)
 	eng := model.NewEngine(res.Model())
-	rec := obs.NewRecorder()
-	eng.SetObs(rec, nil)
+	ms := obs.NewMetrics()
+	eng.SetMetrics(ms)
 	n := res.N()
 	dst := make([]float64, n)
 	eng.ColumnInto(dst, 0, false)
@@ -196,27 +196,20 @@ func TestColumnRecorderKeys(t *testing.T) {
 	panel := packPanel(n, [][]float64{probeVec(n, 1), probeVec(n, 2)})
 	out := make([]float64, 2*n)
 	eng.ApplyPanelInto(out, panel, 2, 1, false)
+	eng.ApplyInto(dst, probeVec(n, 3))
 
-	snap := rec.Snapshot()
-	phases := map[string]int64{}
-	for _, p := range snap.Phases {
-		phases[p.Name] = p.Calls
-	}
-	if phases["model/column"] != 3 {
-		t.Fatalf("model/column phase calls = %d, want 3 (phases: %v)", phases["model/column"], snap.Phases)
-	}
-	if snap.Counters["model/columns"] != 3 {
-		t.Fatalf("model/columns counter = %d, want 3", snap.Counters["model/columns"])
-	}
-	if phases["model/apply_panel"] != 1 || snap.Counters["model/panel_cols"] != 2 {
-		t.Fatalf("panel instrumentation missing: phases %v counters %v", snap.Phases, snap.Counters)
+	for kind, want := range map[string]int64{"column": 2, "panel": 1, "single": 1} {
+		h := ms.Histogram(model.MetricApplySeconds, "", "kind", kind, "mode", "exact")
+		if got := h.Count(); got != want {
+			t.Errorf("kind=%s recorded %d applies, want %d", kind, got, want)
+		}
 	}
 }
 
 // TestPanelSteadyStateAllocs extends the zero-allocation contract to the
 // panel path: once the scratch is warm, ApplyPanelInto allocates nothing per
-// call, thresholded or not (workers=1 — the inline par.Do path — with no
-// recorder, like the serving daemon's hot loop).
+// call, thresholded or not (workers=1 — the inline par.Do path — like the
+// serving daemon's hot loop).
 func TestPanelSteadyStateAllocs(t *testing.T) {
 	res := extract256(t, core.Wavelet)
 	eng := model.NewEngine(res.Model())

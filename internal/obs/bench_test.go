@@ -6,19 +6,30 @@ import "testing"
 // "nil" sub-benchmarks are the cost instrumented code pays when
 // observability is off, the "live" ones the cost when it is on.
 
-func BenchmarkRecorderOverhead(b *testing.B) {
-	run := func(b *testing.B, r *Recorder) {
+// BenchmarkBatchRecordOverhead times five batch records, each through a
+// per-call lookup — the cold-site pattern; hot sites hold their handles and
+// pay only BenchmarkHistogramObserve.
+func BenchmarkBatchRecordOverhead(b *testing.B) {
+	run := func(b *testing.B, m *Metrics) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r.Phase("p")()
-			r.Add("c", 1)
-			r.Observe("h", float64(i&1023))
-			r.Residual("res", 1e-7)
-			r.Rank("rank", i&31)
+			m.Phase("p")()
+			m.Event("c").Add(1)
+			m.Observed("h").Observe(float64(i & 1023))
+			m.Residual("res").Observe(1e-7)
+			m.Rank("rank").Observe(float64(i & 31))
 		}
 	}
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
-	b.Run("live", func(b *testing.B) { run(b, NewRecorder()) })
+	b.Run("live", func(b *testing.B) { run(b, NewMetrics()) })
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewMetrics().Histogram("h", "")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i&1023) * 1e-6)
+	}
 }
 
 func BenchmarkSpanOverhead(b *testing.B) {

@@ -1,30 +1,27 @@
 package obs
 
-// metrics.go — the live serving telemetry registry. The Recorder (obs.go) is
-// a one-shot accumulator designed for batch extraction: it is snapshotted
-// once into a run report when the process exits. A serving daemon needs the
-// opposite shape — metrics that are written on every request by many
-// goroutines, scraped continuously while the process runs, and cheap enough
-// to sit on the hot path. Metrics provides that: a registry of atomic
-// counters, gauges, and fixed-ladder histograms whose record methods
-// (Counter.Add, Gauge.Set, Histogram.Observe) perform zero steady-state
-// allocations (pinned by AllocsPerRun in metrics_test.go) and never take the
-// registry lock — the lock guards registration and enumeration only.
-// Batch tools record into a Recorder and the serving daemons into Metrics,
-// each event once: a daemon attaches no Recorder.
+// metrics.go — the telemetry registry every tool records into: atomic
+// counters, gauges, and fixed-ladder histograms, written by many goroutines,
+// scraped while the process runs, and cheap enough to sit on the hot path.
+// The record methods (Counter.Add, Gauge.Set, Histogram.Observe) perform
+// zero steady-state allocations (pinned by AllocsPerRun in metrics_test.go)
+// and never take the registry lock — the lock guards registration and
+// enumeration only. The serving daemons register their own families; batch
+// tools record through the six batch families of obs.go, which Report turns
+// into a run report's obs and numerics sections. Each event is recorded
+// once.
 //
 // Handles follow the package's nil-safety convention: every method is a
 // no-op (or zero) on a nil receiver, and registration methods on a nil
 // *Metrics return nil handles, so instrumented code records unconditionally.
-// The daemons always attach a registry; a nil one means an extraction
-// engine, which pays only a nil check.
+// A nil registry means telemetry is off, and costs only a nil check.
 //
 // Export paths:
 //   - WritePrometheus renders the classic text exposition format
 //     (# HELP / # TYPE / name{labels} value, cumulative _bucket/_sum/_count
 //     histograms) for GET /metrics — hand-rolled, no dependencies.
-//   - Snapshot returns a JSON-marshalable copy for the expvar mirror and the
-//     run report's serving block.
+//   - Snapshot returns a JSON-marshalable copy for the expvar mirrors and the
+//     run report's serving block; Report (obs.go) builds the batch sections.
 //
 // Histograms are cumulative (Prometheus semantics): a scraper that wants a
 // windowed view diffs two scrapes, so the daemon never has to rotate
@@ -108,13 +105,24 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-ladder histogram handle. Observe is lock-free: one
-// binary search over the ladder plus three atomic updates.
+// Histogram is a fixed-ladder histogram handle that also tracks the
+// smallest, largest and most recent sample. Observe is lock-free: one binary
+// search over the ladder plus atomic updates.
 type Histogram struct {
 	bounds  []float64 // shared with the family; never mutated
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	// float64 bits: min and max start at +Inf and -Inf and move by CAS, last
+	// is a plain store.
+	minBits, maxBits, lastBits atomic.Uint64
+}
+
+func newHistogram(bounds []float64) *Histogram {
+	h := &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one sample (seconds for latency ladders).
@@ -127,9 +135,22 @@ func (h *Histogram) Observe(v float64) {
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
+			break
 		}
 	}
+	for {
+		old := h.minBits.Load()
+		if !(v < math.Float64frombits(old)) || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	for {
+		old := h.maxBits.Load()
+		if !(v > math.Float64frombits(old)) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	h.lastBits.Store(math.Float64bits(v))
 }
 
 // Count returns the total number of samples (0 on a nil handle).
@@ -150,7 +171,9 @@ func (h *Histogram) Sum() float64 {
 
 // Snapshot copies the histogram's current state. Counts are per-bucket (the
 // exposition writer cumulates them); len(Counts) == len(Le)+1, the last
-// entry being the +Inf overflow.
+// entry being the +Inf overflow. Min and Max read 0 until a sample has
+// reached them — a snapshot may land between a first sample's count and its
+// min/max store — so the snapshot never carries an infinity.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -160,6 +183,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Counts: make([]int64, len(h.buckets)),
 		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sumBits.Load()),
+		Last:   math.Float64frombits(h.lastBits.Load()),
+	}
+	if v := math.Float64frombits(h.minBits.Load()); !math.IsInf(v, 0) {
+		s.Min = v
+	}
+	if v := math.Float64frombits(h.maxBits.Load()); !math.IsInf(v, 0) {
+		s.Max = v
 	}
 	for i := range h.buckets {
 		s.Counts[i] = h.buckets[i].Load()
@@ -171,12 +201,16 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is an immutable copy of a histogram, JSON-marshalable
-// (the bounds are finite, so no Inf literals reach encoding/json).
+// (the bounds are finite and Min/Max never hold their infinite starting
+// values, so no Inf literals reach encoding/json).
 type HistogramSnapshot struct {
 	Le     []float64 `json:"le"`     // finite upper bounds; +Inf is implicit
 	Counts []int64   `json:"counts"` // per-bucket, last entry = overflow
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
+	Min    float64   `json:"min"`
+	Max    float64   `json:"max"`
+	Last   float64   `json:"last"` // the most recent sample
 }
 
 // Quantile estimates the q-quantile by linear interpolation inside the
@@ -341,7 +375,7 @@ func (m *Metrics) lookup(name, help string, kind metricKind, buckets []float64, 
 	case kindGauge:
 		s.g = &Gauge{}
 	case kindHistogram:
-		s.h = &Histogram{bounds: f.bounds, buckets: make([]atomic.Int64, len(f.bounds)+1)}
+		s.h = newHistogram(f.bounds)
 	}
 	f.series = append(f.series, s)
 	return s

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -120,6 +122,44 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if q := d.Quantile(0.5); q <= 2.5e-4 || q > 5e-4 {
 		t.Fatalf("single 300µs sample: p50 %v outside its bucket (2.5e-4, 5e-4]", q)
+	}
+}
+
+// TestHistogramMinMaxLast: a histogram tracks its smallest, largest and most
+// recent sample, and a snapshot taken before any sample reads 0 for both
+// bounds instead of the infinite starting values, so it always marshals.
+func TestHistogramMinMaxLast(t *testing.T) {
+	h := NewMetrics().Histogram("h", "")
+	s := h.Snapshot()
+	if s.Min != 0 || s.Max != 0 || s.Last != 0 {
+		t.Fatalf("empty snapshot = %+v, want zero min/max/last", s)
+	}
+	if _, err := json.Marshal(s); err != nil {
+		t.Fatalf("empty snapshot does not marshal: %v", err)
+	}
+	for _, v := range []float64{0.3, 0.1, 0.7, 0.2} {
+		h.Observe(v)
+	}
+	s = h.Snapshot()
+	if s.Min != 0.1 || s.Max != 0.7 || s.Last != 0.2 || s.Count != 4 {
+		t.Fatalf("snapshot = %+v, want min 0.1, max 0.7, last 0.2, count 4", s)
+	}
+
+	// Concurrent observers lose no extreme.
+	c := NewMetrics().Histogram("c", "")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= 500; i++ {
+				c.Observe(float64(g*1000 + i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := c.Snapshot(); s.Min != 1 || s.Max != 3500 || s.Count != 2000 {
+		t.Fatalf("concurrent snapshot = min %v, max %v, count %d; want 1, 3500, 2000", s.Min, s.Max, s.Count)
 	}
 }
 

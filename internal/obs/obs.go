@@ -1,299 +1,180 @@
-// Package obs is the extraction pipeline's zero-dependency observability
-// layer: phase-scoped wall timers, monotonic counters, fixed-bucket
-// histograms and numerical-health stats collected behind a *Recorder, plus
-// per-event spans behind a *Tracer (trace.go). Every method is safe on a
-// nil receiver and becomes a no-op, so instrumented code paths carry a
-// recorder and tracer unconditionally and pay near-zero overhead when
-// observability is off (measured, not asserted: see BenchmarkRecorderOverhead
-// and BenchmarkSpanOverhead).
+// Package obs is the pipeline's zero-dependency observability layer: one
+// registry of atomic counters, gauges and histograms (Metrics, metrics.go)
+// that batch tools and serving daemons alike record into, per-event spans
+// behind a *Tracer (trace.go), and the run-report schema (report.go). Every
+// method is safe on a nil receiver and becomes a no-op, so instrumented code
+// paths carry a registry and tracer unconditionally and pay near-zero
+// overhead when observability is off (measured, not asserted: see
+// BenchmarkBatchRecordOverhead and BenchmarkSpanOverhead).
 // Recording never influences the computation it observes — extraction
-// outputs are bitwise identical with a recorder on or off (enforced by the
+// outputs are bitwise identical with a registry on or off (enforced by the
 // core determinism suite).
 //
-// The recorder is safe for concurrent use: batched solves observe their
-// iteration counts from the worker pool. Phase timers may nest and repeat;
-// each phase accumulates inclusive wall time and a call count.
+// This file holds the batch side of the registry: six label-keyed families,
+// one per run-report section, whose "name" label is the report key, and
+// Report, which builds a run report's obs and numerics sections from them.
 package obs
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"time"
+import "time"
+
+// The batch families. Each series carries one label, name, whose value is
+// the run-report key: subcouple_events_total{name="solver/solves"} is the
+// report's obs.counters["solver/solves"].
+const (
+	familyPhase    = "subcouple_phase_seconds"
+	familyEvents   = "subcouple_events_total"
+	familyObserved = "subcouple_observed"
+	familyRank     = "subcouple_rank"
+	familyResidual = "subcouple_residual"
+	familyDropped  = "subcouple_dropped_total"
 )
 
-// histBuckets are the upper bounds of the fixed histogram buckets: a full
-// power-of-two ladder, wide enough for iteration counts and batch sizes
-// alike without aliasing anywhere along it. Values above the top bound land
-// in an explicit +Inf overflow bucket — never lost. The bucket layout is
-// part of the report schema — do not reorder.
-var histBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
+// countBuckets is the ladder of the count histograms (iteration counts,
+// batch sizes, ranks): a full power-of-two ladder, wide enough for all of
+// them without aliasing anywhere along it. Values above the top bound land
+// in the +Inf overflow bucket — never lost. The bucket layout is part of the
+// report schema — do not reorder.
+var countBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
-// Recorder collects phases, counters, histograms and numerical-health
-// statistics for one run.
-type Recorder struct {
-	mu     sync.Mutex
-	phases map[string]*phaseAcc
-	order  []string // phase registration order
-	ctrs   map[string]int64
-	hists  map[string]*histAcc
+// residualBuckets is the decade ladder of the residual histograms, from
+// below every solver tolerance in use up to 1, a solve that did not reduce
+// its residual at all.
+var residualBuckets = []float64{1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 
-	// Numerical-health telemetry (the report-v2 "numerics" section):
-	// residual-style value stats, rank histograms, and drop counters.
-	resids map[string]*valueAcc
-	ranks  map[string]*histAcc
-	drops  map[string]int64
+// Setter is implemented by solvers (fd, bem) and adapters (solver.Counting,
+// solver.Parallel) that record into a registry and emit spans. Adapters
+// forward the call down the chain, so core.Extract wires a whole chain with
+// one SetObs call. Nil values record nothing.
+type Setter interface {
+	SetObs(*Metrics, *Tracer)
 }
 
-type phaseAcc struct {
-	calls   int64
-	elapsed time.Duration
-}
-
-type histAcc struct {
-	count    int64
-	sum      float64
-	min, max float64
-	buckets  []int64 // len(histBuckets)+1; last is the +Inf overflow
-}
-
-// valueAcc accumulates a residual-style value series: summary statistics
-// plus the most recent sample (the "did it degrade by the end" signal).
-type valueAcc struct {
-	count    int64
-	sum      float64
-	min, max float64
-	last     float64
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		phases: map[string]*phaseAcc{},
-		ctrs:   map[string]int64{},
-		hists:  map[string]*histAcc{},
-		resids: map[string]*valueAcc{},
-		ranks:  map[string]*histAcc{},
-		drops:  map[string]int64{},
-	}
-}
-
-// nop is the shared no-op phase closer returned by nil recorders.
+// nop is the shared no-op phase closer returned by a nil registry.
 func nop() {}
 
 // Phase starts a wall timer for the named phase and returns the function
 // that stops it. Typical use:
 //
-//	defer rec.Phase("lowrank/sweep")()
+//	defer ms.Phase("lowrank/sweep")()
 //
-// Phases may nest and repeat; time is inclusive and accumulated per name.
-func (r *Recorder) Phase(name string) func() {
-	if r == nil {
+// Phases may nest and repeat: each stop adds its inclusive wall time to
+// subcouple_phase_seconds{name}, whose sample count is the phase's calls.
+// The series is registered when the timer first stops, so a report lists
+// phases in first-stop order.
+func (m *Metrics) Phase(name string) func() {
+	if m == nil {
 		return nop
 	}
 	start := time.Now()
-	return func() { r.addPhase(name, time.Since(start)) }
+	return func() {
+		d := time.Since(start).Seconds()
+		m.Histogram(familyPhase, "batch phase wall time in seconds (inclusive; count = calls)", "name", name).Observe(d)
+	}
 }
 
-func (r *Recorder) addPhase(name string, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.phases[name]
-	if p == nil {
-		p = &phaseAcc{}
-		r.phases[name] = p
-		r.order = append(r.order, name)
+// Event returns the counter subcouple_events_total{name}: the report's
+// obs.counters entry (solves, batches, ...).
+func (m *Metrics) Event(name string) *Counter {
+	if m == nil {
+		return nil
 	}
-	p.calls++
-	p.elapsed += d
+	return m.Counter(familyEvents, "batch events by name", "name", name)
 }
 
-// Add increments the named counter by delta.
-func (r *Recorder) Add(name string, delta int64) {
-	if r == nil {
-		return
+// Observed returns the count histogram subcouple_observed{name}: the
+// report's obs.histograms entry (iteration counts, batch sizes, ...).
+func (m *Metrics) Observed(name string) *Histogram {
+	if m == nil {
+		return nil
 	}
-	r.mu.Lock()
-	r.ctrs[name] += delta
-	r.mu.Unlock()
+	return m.HistogramBuckets(familyObserved, "batch count samples by name", countBuckets, "name", name)
 }
 
-// Observe records one sample into the named histogram.
-func (r *Recorder) Observe(name string, v float64) {
-	if r == nil {
-		return
+// Rank returns the histogram subcouple_rank{name}: the report's
+// numerics.ranks entry (the rank cut chosen per square).
+func (m *Metrics) Rank(name string) *Histogram {
+	if m == nil {
+		return nil
 	}
-	r.mu.Lock()
-	observeInto(r.hists, name, v)
-	r.mu.Unlock()
+	return m.HistogramBuckets(familyRank, "chosen rank cuts by name", countBuckets, "name", name)
 }
 
-// observeInto adds one sample to the named histogram of the given map,
-// creating it on first use. Caller holds the recorder mutex.
-func observeInto(hists map[string]*histAcc, name string, v float64) {
-	h := hists[name]
-	if h == nil {
-		h = &histAcc{min: math.Inf(1), max: math.Inf(-1), buckets: make([]int64, len(histBuckets)+1)}
-		hists[name] = h
+// Residual returns the histogram subcouple_residual{name}: the report's
+// numerics.residuals entry (a solve's final relative residual).
+func (m *Metrics) Residual(name string) *Histogram {
+	if m == nil {
+		return nil
 	}
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	b := sort.SearchFloat64s(histBuckets, v) // first bucket with bound >= v
-	h.buckets[b]++
+	return m.HistogramBuckets(familyResidual, "final relative residuals by name", residualBuckets, "name", name)
 }
 
-// Residual records one residual-style health sample (e.g. a solve's final
-// relative residual) into the run's numerics section.
-func (r *Recorder) Residual(name string, v float64) {
-	if r == nil {
-		return
+// Dropped returns the counter subcouple_dropped_total{name}: the report's
+// numerics.drops entry (clipped spectra, spans that missed the trace
+// buffer). Registering it lists it, so "nothing was dropped" shows as an
+// explicit 0 in the report.
+func (m *Metrics) Dropped(name string) *Counter {
+	if m == nil {
+		return nil
 	}
-	r.mu.Lock()
-	a := r.resids[name]
-	if a == nil {
-		a = &valueAcc{min: math.Inf(1), max: math.Inf(-1)}
-		r.resids[name] = a
-	}
-	a.count++
-	a.sum += v
-	if v < a.min {
-		a.min = v
-	}
-	if v > a.max {
-		a.max = v
-	}
-	a.last = v
-	r.mu.Unlock()
+	return m.Counter(familyDropped, "dropped or clipped items by name", "name", name)
 }
 
-// Rank records one chosen rank (row-basis cut, sweep recombination, ...)
-// into the named numerics rank histogram.
-func (r *Recorder) Rank(name string, rank int) {
-	if r == nil {
-		return
+// Report builds a run report's obs and numerics sections from the batch
+// families, keyed by each series' name label: phases in first-stop order,
+// event counters, count histograms, residual stats, rank histograms and
+// drop counters. Histogram series with no samples are left out, since a
+// report's histogram counts are positive; every registered drop counter is
+// listed, zeros included. A nil registry returns an empty Snapshot and a nil
+// Numerics; a live one always returns a non-nil Numerics, which is what
+// tells a v2 report from a v1 one.
+func (m *Metrics) Report() (Snapshot, *Numerics) {
+	if m == nil {
+		return Snapshot{}, nil
 	}
-	r.mu.Lock()
-	observeInto(r.ranks, name, float64(rank))
-	r.mu.Unlock()
+	s := Snapshot{Counters: map[string]int64{}, Histograms: map[string]HistStat{}}
+	n := &Numerics{Residuals: map[string]ValueStat{}, Ranks: map[string]HistStat{}, Drops: map[string]int64{}}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	each := func(family string, fn func(name string, ser *series)) {
+		if f := m.families[family]; f != nil {
+			for _, ser := range f.series {
+				fn(ser.labels[1], ser)
+			}
+		}
+	}
+	sampled := func(family string, fn func(name string, h HistogramSnapshot)) {
+		each(family, func(name string, ser *series) {
+			if h := ser.h.Snapshot(); h.Count > 0 {
+				fn(name, h)
+			}
+		})
+	}
+	sampled(familyPhase, func(name string, h HistogramSnapshot) {
+		s.Phases = append(s.Phases, PhaseStat{Name: name, Calls: h.Count, Seconds: h.Sum})
+	})
+	each(familyEvents, func(name string, ser *series) { s.Counters[name] = ser.ctr.Value() })
+	sampled(familyObserved, func(name string, h HistogramSnapshot) { s.Histograms[name] = histStat(h) })
+	sampled(familyRank, func(name string, h HistogramSnapshot) { n.Ranks[name] = histStat(h) })
+	sampled(familyResidual, func(name string, h HistogramSnapshot) {
+		n.Residuals[name] = ValueStat{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
+			Mean: h.Sum / float64(h.Count), Last: h.Last}
+	})
+	each(familyDropped, func(name string, ser *series) { n.Drops[name] = ser.ctr.Value() })
+	return s, n
 }
 
-// Drop adds to a named numerics drop counter (truncated spectra, spans that
-// missed the trace buffer, ...). Recording zero still registers the key, so
-// "nothing was dropped" is visible in the report.
-func (r *Recorder) Drop(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.drops[name] += delta
-	r.mu.Unlock()
-}
-
-// Snapshot returns an immutable copy of everything recorded so far, with
-// phases in registration order and counter/histogram names sorted.
-func (r *Recorder) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.ctrs)),
-		Histograms: make(map[string]HistStat, len(r.hists)),
-	}
-	for _, name := range r.order {
-		p := r.phases[name]
-		s.Phases = append(s.Phases, PhaseStat{Name: name, Calls: p.calls, Seconds: p.elapsed.Seconds()})
-	}
-	for name, v := range r.ctrs {
-		s.Counters[name] = v
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.stat()
-	}
-	return s
-}
-
-// stat summarizes one histogram accumulator.
-func (h *histAcc) stat() HistStat {
-	hs := HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if h.count > 0 {
-		hs.Mean = h.sum / float64(h.count)
-	} else {
-		hs.Min, hs.Max = 0, 0
-	}
-	for i, c := range h.buckets {
+// histStat summarizes a sampled histogram, listing only occupied buckets.
+func histStat(h HistogramSnapshot) HistStat {
+	hs := HistStat{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max, Mean: h.Sum / float64(h.Count)}
+	for i, c := range h.Counts {
 		if c == 0 {
 			continue
 		}
 		le := "+Inf"
-		if i < len(histBuckets) {
-			le = formatBound(histBuckets[i])
+		if i < len(h.Le) {
+			le = formatFloat(h.Le[i])
 		}
 		hs.Buckets = append(hs.Buckets, BucketStat{Le: le, Count: c})
 	}
 	return hs
-}
-
-// Numerics returns an immutable copy of the numerical-health telemetry
-// recorded so far: residual stats, rank histograms, and drop counters. The
-// result is never nil for a non-nil recorder — an empty section still
-// serializes, which is what distinguishes "nothing recorded" from "not a
-// v2 report".
-func (r *Recorder) Numerics() *Numerics {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := &Numerics{
-		Residuals: make(map[string]ValueStat, len(r.resids)),
-		Ranks:     make(map[string]HistStat, len(r.ranks)),
-		Drops:     make(map[string]int64, len(r.drops)),
-	}
-	for name, a := range r.resids {
-		vs := ValueStat{Count: a.count, Sum: a.sum, Min: a.min, Max: a.max, Last: a.last}
-		if a.count > 0 {
-			vs.Mean = a.sum / float64(a.count)
-		} else {
-			vs.Min, vs.Max = 0, 0
-		}
-		n.Residuals[name] = vs
-	}
-	for name, h := range r.ranks {
-		n.Ranks[name] = h.stat()
-	}
-	for name, v := range r.drops {
-		n.Drops[name] = v
-	}
-	return n
-}
-
-func formatBound(v float64) string {
-	// Bounds are small integral powers of two; render without exponents.
-	u := int64(v)
-	digits := [20]byte{}
-	i := len(digits)
-	for u > 0 {
-		i--
-		digits[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if i == len(digits) {
-		return "0"
-	}
-	return string(digits[i:])
-}
-
-// RecorderSetter is implemented by solvers (fd, bem) and adapters that can
-// report into a recorder. core.Extract wires its Options.Recorder through
-// this interface, so instrumented solvers need no extra plumbing.
-type RecorderSetter interface {
-	SetRecorder(*Recorder)
 }

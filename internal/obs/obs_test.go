@@ -2,38 +2,55 @@ package obs
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestNilRecorderIsNoOp(t *testing.T) {
-	var r *Recorder
-	stop := r.Phase("anything")
-	stop()
-	r.Add("c", 3)
-	r.Observe("h", 1.5)
-	s := r.Snapshot()
-	if len(s.Phases) != 0 || len(s.Counters) != 0 || len(s.Histograms) != 0 {
-		t.Fatalf("nil recorder produced data: %+v", s)
+// TestNilMetricsReport: with a nil registry the six batch methods record
+// nothing and allocate nothing — each returns before it builds a label
+// list — and Report yields an empty obs section and no numerics section.
+func TestNilMetricsReport(t *testing.T) {
+	var m *Metrics
+	record := func() {
+		m.Phase("anything")()
+		m.Event("c").Add(3)
+		m.Observed("h").Observe(1.5)
+		m.Residual("res").Observe(1e-7)
+		m.Rank("rank").Observe(4)
+		m.Dropped("clip").Add(1)
+	}
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+		t.Fatalf("nil registry: %v allocs per record round, want 0", allocs)
+	}
+	s, n := m.Report()
+	if len(s.Phases) != 0 || len(s.Counters) != 0 || len(s.Histograms) != 0 || n != nil {
+		t.Fatalf("nil registry produced data: %+v %+v", s, n)
 	}
 }
 
 func TestPhasesAccumulateInOrder(t *testing.T) {
-	r := NewRecorder()
-	stop := r.Phase("b/second")
+	m := NewMetrics()
+	stop := m.Phase("b/second")
 	time.Sleep(time.Millisecond)
 	stop()
-	r.Phase("a/first")() // zero-ish duration, registered after b
-	r.Phase("b/second")()
+	m.Phase("a/first")() // zero-ish duration, registered after b
+	m.Phase("b/second")()
+	// A phase is registered when it stops: c starts first but stops last.
+	stopC := m.Phase("c/outer")
+	m.Phase("d/inner")()
+	stopC()
 
-	s := r.Snapshot()
-	if len(s.Phases) != 2 {
-		t.Fatalf("phases = %d, want 2", len(s.Phases))
+	s, _ := m.Report()
+	if len(s.Phases) != 4 {
+		t.Fatalf("phases = %d, want 4", len(s.Phases))
 	}
-	if s.Phases[0].Name != "b/second" || s.Phases[1].Name != "a/first" {
-		t.Fatalf("phases not in first-use order: %+v", s.Phases)
+	for i, want := range []string{"b/second", "a/first", "d/inner", "c/outer"} {
+		if s.Phases[i].Name != want {
+			t.Fatalf("phases not in first-stop order: %+v", s.Phases)
+		}
 	}
 	if s.Phases[0].Calls != 2 {
 		t.Fatalf("b/second calls = %d, want 2", s.Phases[0].Calls)
@@ -44,15 +61,23 @@ func TestPhasesAccumulateInOrder(t *testing.T) {
 }
 
 func TestCountersAndHistograms(t *testing.T) {
-	r := NewRecorder()
-	r.Add("solves", 5)
-	r.Add("solves", 2)
+	m := NewMetrics()
+	m.Event("solves").Add(5)
+	m.Event("solves").Add(2)
+	m.Event("idle") // registered, never incremented: listed as 0
+	m.Observed("unsampled")
 	for _, v := range []float64{1, 1, 2, 3, 100, 1e6} {
-		r.Observe("iters", v)
+		m.Observed("iters").Observe(v)
 	}
-	s := r.Snapshot()
+	s, _ := m.Report()
 	if s.Counters["solves"] != 7 {
 		t.Fatalf("solves = %d, want 7", s.Counters["solves"])
+	}
+	if v, ok := s.Counters["idle"]; !ok || v != 0 {
+		t.Fatalf("registered counter idle = %d (listed %v), want an explicit 0", v, ok)
+	}
+	if _, ok := s.Histograms["unsampled"]; ok {
+		t.Fatal("a histogram with no samples is listed")
 	}
 	h := s.Histograms["iters"]
 	if h.Count != 6 || h.Min != 1 || h.Max != 1e6 {
@@ -82,37 +107,40 @@ func TestCountersAndHistograms(t *testing.T) {
 	}
 }
 
-func TestRecorderConcurrentUse(t *testing.T) {
-	r := NewRecorder()
+// TestReportConcurrentUse: batched solves record from the worker pool, so
+// phases, events and histograms must lose no update under concurrency.
+func TestReportConcurrentUse(t *testing.T) {
+	m := NewMetrics()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Phase("p")()
-				r.Add("c", 1)
-				r.Observe("h", float64(i))
+				m.Phase("p")()
+				m.Event("c").Add(1)
+				m.Observed("h").Observe(float64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	s := r.Snapshot()
+	s, _ := m.Report()
 	if s.Counters["c"] != 800 || s.Phases[0].Calls != 800 || s.Histograms["h"].Count != 800 {
 		t.Fatalf("lost updates: %+v", s)
 	}
 }
 
 func validReport() *RunReport {
-	r := NewRecorder()
-	r.Phase("core/extract")()
-	r.Add("solver/solves", 12)
-	r.Observe("solver/batch_size", 12)
-	r.Observe("bem/cg_iters", 9)
-	r.Residual("bem/cg_final_rel", 3e-7)
-	r.Residual("bem/cg_final_rel", 8e-7)
-	r.Rank("lowrank/row_rank", 3)
-	r.Drop("lowrank/rank_clipped", 0)
+	m := NewMetrics()
+	m.Phase("core/extract")()
+	m.Event("solver/solves").Add(12)
+	m.Observed("solver/batch_size").Observe(12)
+	m.Observed("bem/cg_iters").Observe(9)
+	m.Residual("bem/cg_final_rel").Observe(3e-7)
+	m.Residual("bem/cg_final_rel").Observe(8e-7)
+	m.Rank("lowrank/row_rank").Observe(3)
+	m.Dropped("lowrank/rank_clipped")
+	s, n := m.Report()
 	return &RunReport{
 		Schema: ReportSchema,
 		Tool:   "subx",
@@ -120,8 +148,8 @@ func validReport() *RunReport {
 		Results: map[string]any{
 			"solves": 12, "gw_nnz": 100, "gw_sparsity": 2.5,
 		},
-		Obs:      r.Snapshot(),
-		Numerics: r.Numerics(),
+		Obs:      s,
+		Numerics: n,
 	}
 }
 
@@ -210,8 +238,8 @@ func applyEndpoint() ServingEndpointStat {
 }
 
 // servingReport is what cmd/subserve writes after a drain: an empty obs
-// section (the daemon records into its metrics registry, not a Recorder),
-// zero substrate solves, and the serving block.
+// section (the daemon records no batch events), zero substrate solves, and
+// the serving block.
 func servingReport() *RunReport {
 	return &RunReport{
 		Schema:   ReportSchema,
@@ -368,15 +396,16 @@ func TestValidateEndpointsBothBlocks(t *testing.T) {
 }
 
 func TestNumericsAccumulators(t *testing.T) {
-	r := NewRecorder()
-	r.Residual("res", 0.5)
-	r.Residual("res", 0.1)
-	r.Residual("res", 0.3)
-	r.Rank("rank", 2)
-	r.Rank("rank", 5)
-	r.Drop("clip", 0)
-	r.Drop("clip", 3)
-	n := r.Numerics()
+	m := NewMetrics()
+	m.Residual("res").Observe(0.5)
+	m.Residual("res").Observe(0.1)
+	m.Residual("res").Observe(0.3)
+	m.Rank("rank").Observe(2)
+	m.Rank("rank").Observe(5)
+	m.Dropped("clip").Add(0)
+	m.Dropped("clip").Add(3)
+	m.Dropped("never")
+	_, n := m.Report()
 	v := n.Residuals["res"]
 	if v.Count != 3 || v.Min != 0.1 || v.Max != 0.5 || v.Last != 0.3 {
 		t.Fatalf("residual stat wrong: %+v", v)
@@ -391,32 +420,36 @@ func TestNumericsAccumulators(t *testing.T) {
 	if n.Drops["clip"] != 3 {
 		t.Fatalf("drop counter = %d, want 3", n.Drops["clip"])
 	}
-
-	// Nil recorder: no numerics section at all (that absence is what makes a
-	// report v1-shaped); non-nil empty recorder: present but empty.
-	var nilRec *Recorder
-	if nilRec.Numerics() != nil {
-		t.Fatalf("nil recorder returned a numerics section")
+	if v, ok := n.Drops["never"]; !ok || v != 0 {
+		t.Fatalf("registered drop counter never = %d (listed %v), want an explicit 0", v, ok)
 	}
-	empty := NewRecorder().Numerics()
+
+	// A live registry with nothing recorded: the numerics section is present
+	// but empty (its absence is what makes a report v1-shaped).
+	_, empty := NewMetrics().Report()
 	if empty == nil || len(empty.Residuals) != 0 || len(empty.Ranks) != 0 || len(empty.Drops) != 0 {
-		t.Fatalf("empty recorder numerics wrong: %+v", empty)
+		t.Fatalf("empty registry numerics wrong: %+v", empty)
 	}
 }
 
-// TestHistogramBucketLadder pins the bucket bounds as a complete
+// TestHistogramBucketLadder pins the count-histogram bounds as a complete
 // power-of-two ladder (the 1024→4096→16384 gaps aliased 2048- and
 // 8192-sized samples into wider buckets) and the explicit overflow bucket
 // above the top bound.
 func TestHistogramBucketLadder(t *testing.T) {
-	r := NewRecorder()
+	m := NewMetrics()
 	// One sample exactly on each bound, plus one past the top.
-	bounds := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
-	for _, v := range bounds {
-		r.Observe("ladder", v)
+	bounds := []string{"1", "2", "4", "8", "16", "32", "64", "128", "256", "512", "1024", "2048", "4096", "8192", "16384"}
+	for _, b := range bounds {
+		v, err := strconv.ParseFloat(b, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Observed("ladder").Observe(v)
 	}
-	r.Observe("ladder", 16385)
-	h := r.Snapshot().Histograms["ladder"]
+	m.Observed("ladder").Observe(16385)
+	s, _ := m.Report()
+	h := s.Histograms["ladder"]
 	if h.Count != int64(len(bounds)+1) {
 		t.Fatalf("count = %d, want %d", h.Count, len(bounds)+1)
 	}
@@ -426,9 +459,8 @@ func TestHistogramBucketLadder(t *testing.T) {
 		t.Fatalf("occupied buckets = %d, want %d: %+v", len(h.Buckets), len(bounds)+1, h.Buckets)
 	}
 	for i, b := range h.Buckets[:len(bounds)] {
-		want := formatBound(bounds[i])
-		if b.Le != want || b.Count != 1 {
-			t.Fatalf("bucket %d = %+v, want le=%s count=1", i, b, want)
+		if b.Le != bounds[i] || b.Count != 1 {
+			t.Fatalf("bucket %d = %+v, want le=%s count=1", i, b, bounds[i])
 		}
 	}
 	last := h.Buckets[len(bounds)]

@@ -42,9 +42,10 @@ type HistStat struct {
 	Buckets []BucketStat `json:"buckets"`
 }
 
-// Snapshot is the serializable view of a Recorder. Phases keep first-use
-// order (it reads as a timeline); counters and histograms marshal with
-// sorted keys (encoding/json sorts map keys), so the output is stable.
+// Snapshot is a run report's obs section, built by Metrics.Report. Phases
+// keep first-stop order (it reads as a timeline); counters and histograms
+// marshal with sorted keys (encoding/json sorts map keys), so the output is
+// stable.
 type Snapshot struct {
 	Phases     []PhaseStat         `json:"phases"`
 	Counters   map[string]int64    `json:"counters"`

@@ -6,15 +6,15 @@ import (
 	"time"
 )
 
-// Tracing complements the Recorder's aggregates with per-event spans: where
-// the recorder answers "how much time did phase X take in total", the tracer
-// answers "when did each unit of work run, on which worker, nested under
-// what". Spans form a tree (parent/child links) and carry a track id — track
-// 0 is the issuing goroutine ("main"), tracks >= 1 are worker-pool slots —
-// so the exported trace (see traceexport.go) shows the pool's actual overlap
-// in Perfetto / chrome://tracing.
+// Tracing complements the registry's aggregates with per-event spans: where
+// a phase series answers "how much time did phase X take in total", the
+// tracer answers "when did each unit of work run, on which worker, nested
+// under what". Spans form a tree (parent/child links) and carry a track id —
+// track 0 is the issuing goroutine ("main"), tracks >= 1 are worker-pool
+// slots — so the exported trace (see traceexport.go) shows the pool's actual
+// overlap in Perfetto / chrome://tracing.
 //
-// Like the Recorder, every method is nil-receiver-safe and a live tracer
+// Like the registry, every method is nil-receiver-safe and a live tracer
 // never changes the computation it observes: extraction outputs are bitwise
 // identical with tracing on or off (enforced by the core determinism suite),
 // and the per-span cost is measured by BenchmarkSpanOverhead.
@@ -195,11 +195,4 @@ func (t *Tracer) snapshot() []spanRec {
 	out := make([]spanRec, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// TracerSetter is implemented by solvers and adapters that can emit spans.
-// core.Extract wires its Options.Tracer through this interface, mirroring
-// RecorderSetter.
-type TracerSetter interface {
-	SetTracer(*Tracer)
 }

@@ -31,14 +31,14 @@ type Pool struct {
 }
 
 // NewPool builds size engines over m (size <= 0 selects runtime.NumCPU()).
-// The tracer is attached to every engine and may be nil; engines get no
-// Recorder, since SetMetrics gives them their kernel histograms.
+// The tracer is attached to every engine and may be nil; SetMetrics gives
+// them their kernel histograms.
 func NewPool(m *model.Model, size int, tr *obs.Tracer) *Pool {
 	size = par.Workers(size)
 	p := &Pool{m: m, engines: make(chan *model.Engine, size), size: size}
 	for i := 0; i < size; i++ {
 		e := model.NewEngine(m)
-		e.SetObs(nil, tr)
+		e.SetTracer(tr)
 		p.engines <- e
 	}
 	return p

@@ -222,9 +222,8 @@ func TestPoolGaugeSumsActivationsAcrossSwap(t *testing.T) {
 }
 
 // TestPoolEnginesRecordWithoutAllocating pins the daemon's kernel path: a
-// pool's engines record into the registry's metrics (the kernel histogram
-// counts every apply) and carry no Recorder, so a served apply allocates
-// nothing.
+// pool's engines record each apply once, into the registry's kernel
+// histogram, so a served apply allocates nothing.
 func TestPoolEnginesRecordWithoutAllocating(t *testing.T) {
 	ms := obs.NewMetrics()
 	reg := registry.New(registry.Options{PoolSize: 1, Metrics: ms})

@@ -47,7 +47,7 @@ type WorkerSetter interface {
 type parallelSolver struct {
 	s       Solver
 	workers int
-	rec     *obs.Recorder
+	busy    *obs.Histogram // "solver/busy_workers"; nil = no-op
 	tr      *obs.Tracer
 }
 
@@ -83,23 +83,16 @@ func (p *parallelSolver) AvgIterations() float64 {
 	return 0
 }
 
-// SetRecorder implements obs.RecorderSetter: worker-utilization stats land
-// in rec, and the recorder is forwarded down the chain so instrumented
-// backends (fd, bem, Counting) are wired with one call.
-func (p *parallelSolver) SetRecorder(rec *obs.Recorder) {
-	p.rec = rec
-	if rs, ok := p.s.(obs.RecorderSetter); ok {
-		rs.SetRecorder(rec)
-	}
-}
-
-// SetTracer implements obs.TracerSetter, forwarding down the chain like
-// SetRecorder. The adapter's own spans cover the fallback fan-out path;
-// native BatchSolver backends (fd, bem) emit their own batch spans.
-func (p *parallelSolver) SetTracer(tr *obs.Tracer) {
+// SetObs implements obs.Setter: worker utilization lands in the
+// "solver/busy_workers" histogram, and both values are forwarded down the
+// chain so instrumented backends (fd, bem, Counting) are wired with one
+// call. The adapter's own spans cover the fallback fan-out path; native
+// BatchSolver backends (fd, bem) emit their own batch spans.
+func (p *parallelSolver) SetObs(ms *obs.Metrics, tr *obs.Tracer) {
+	p.busy = ms.Observed("solver/busy_workers")
 	p.tr = tr
-	if ts, ok := p.s.(obs.TracerSetter); ok {
-		ts.SetTracer(tr)
+	if next, ok := p.s.(obs.Setter); ok {
+		next.SetObs(ms, tr)
 	}
 }
 
@@ -126,7 +119,7 @@ func (p *parallelSolver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	if len(vs) < busy {
 		busy = len(vs)
 	}
-	p.rec.Observe("solver/busy_workers", float64(busy))
+	p.busy.Observe(float64(busy))
 	out, err := p.fanOut(s, vs)
 	if err != nil {
 		return nil, err

@@ -176,14 +176,14 @@ func TestParallelCountingPlainSolverRunsConcurrently(t *testing.T) {
 }
 
 func TestParallelCountingRecordsBatchStats(t *testing.T) {
-	rec := obs.NewRecorder()
+	ms := obs.NewMetrics()
 	c := NewCounting(&stubSolver{n: 3})
 	p := Parallel(c, 2)
-	p.(interface{ SetRecorder(*obs.Recorder) }).SetRecorder(rec)
+	p.(obs.Setter).SetObs(ms, nil)
 	if _, err := p.SolveBatch(batchOf(3, 5)); err != nil {
 		t.Fatal(err)
 	}
-	s := rec.Snapshot()
+	s, _ := ms.Report()
 	if s.Counters["solver/solves"] != 5 || s.Counters["solver/batches"] != 1 {
 		t.Fatalf("counters wrong: %+v", s.Counters)
 	}

@@ -33,8 +33,8 @@ type IterationReporter interface {
 // Counting wraps a Solver and counts black-box calls, the currency of the
 // thesis's solve-reduction factor. Increments are mutex-guarded so a
 // Counting may sit below a Parallel adapter; read Solves only when no
-// solves are in flight (i.e. after the extraction returns). Set Rec to also
-// stream solve counts and batch-size stats into an obs.Recorder.
+// solves are in flight (i.e. after the extraction returns). SetObs also
+// streams solve counts and batch-size stats into an obs.Metrics.
 //
 // Counting also checks every answer: one holding a NaN or an infinity is
 // returned as an error naming the solve by its number in the count, so a
@@ -42,9 +42,12 @@ type IterationReporter interface {
 type Counting struct {
 	S      Solver
 	Solves int
-	Rec    *obs.Recorder
 
 	mu sync.Mutex
+
+	// Batch-event handles, registered by SetObs (nil = no-op).
+	mSolves, mBatches *obs.Counter
+	mBatchSize        *obs.Histogram
 }
 
 // NewCounting wraps s.
@@ -56,7 +59,7 @@ func (c *Counting) N() int { return c.S.N() }
 // Solve implements Solver, incrementing the call counter.
 func (c *Counting) Solve(v []float64) ([]float64, error) {
 	k := c.add(1)
-	c.Rec.Add("solver/solves", 1)
+	c.mSolves.Add(1)
 	r, err := c.S.Solve(v)
 	if err != nil {
 		return nil, err
@@ -87,9 +90,9 @@ func (c *Counting) SolveBatch(vs [][]float64) ([][]float64, error) {
 // path too.
 func (c *Counting) recordBatch(k int) int {
 	first := c.add(k)
-	c.Rec.Add("solver/solves", int64(k))
-	c.Rec.Add("solver/batches", 1)
-	c.Rec.Observe("solver/batch_size", float64(k))
+	c.mSolves.Add(int64(k))
+	c.mBatches.Add(1)
+	c.mBatchSize.Observe(float64(k))
 	return first
 }
 
@@ -115,20 +118,17 @@ func checkFinite(first int, out [][]float64) error {
 	return nil
 }
 
-// SetRecorder implements obs.RecorderSetter, forwarding to the wrapped
-// solver so a whole chain is wired with one call.
-func (c *Counting) SetRecorder(rec *obs.Recorder) {
-	c.Rec = rec
-	if rs, ok := c.S.(obs.RecorderSetter); ok {
-		rs.SetRecorder(rec)
-	}
-}
-
-// SetTracer implements obs.TracerSetter by forwarding to the wrapped solver;
-// Counting itself emits no spans (the per-solve spans live in the backends).
-func (c *Counting) SetTracer(tr *obs.Tracer) {
-	if ts, ok := c.S.(obs.TracerSetter); ok {
-		ts.SetTracer(tr)
+// SetObs implements obs.Setter: solve counts land in the "solver/solves"
+// and "solver/batches" events and batch sizes in the "solver/batch_size"
+// histogram. Both values are forwarded to the wrapped solver, so a whole
+// chain is wired with one call; Counting itself emits no spans (the
+// per-solve spans live in the backends).
+func (c *Counting) SetObs(ms *obs.Metrics, tr *obs.Tracer) {
+	c.mSolves = ms.Event("solver/solves")
+	c.mBatches = ms.Event("solver/batches")
+	c.mBatchSize = ms.Observed("solver/batch_size")
+	if next, ok := c.S.(obs.Setter); ok {
+		next.SetObs(ms, tr)
 	}
 }
 

@@ -72,8 +72,8 @@ type Basis struct {
 	facCoarse map[int]*la.Dense
 	facVCols  map[int]int
 
-	rec *obs.Recorder // phase timers + solve counters; nil = no-op
-	tr  *obs.Tracer   // per-level/per-square spans; nil = no-op
+	ms *obs.Metrics // phase timers + solve counters; nil = no-op
+	tr *obs.Tracer  // per-level/per-square spans; nil = no-op
 }
 
 // NewBasis builds the wavelet basis for a layout already split so that no
@@ -90,30 +90,24 @@ func NewBasis(layout *geom.Layout, tree *quadtree.Tree, p int) (*Basis, error) {
 // the splits are stitched into Q serially in square order, so the basis is
 // bitwise-identical for any worker count.
 func NewBasisWorkers(layout *geom.Layout, tree *quadtree.Tree, p, workers int) (*Basis, error) {
-	return NewBasisRec(layout, tree, p, workers, nil)
+	return NewBasisObs(layout, tree, p, workers, nil, nil)
 }
 
-// NewBasisRec is NewBasisWorkers with an obs.Recorder: the build is timed
-// as phase "wavelet/basis" and later extraction calls on the returned basis
-// report their phases and solve counters into rec. A nil rec records
-// nothing.
-func NewBasisRec(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *obs.Recorder) (*Basis, error) {
-	return NewBasisObs(layout, tree, p, workers, rec, nil)
-}
-
-// NewBasisObs is NewBasisRec with an obs.Tracer: the build emits one span
-// per level ("wavelet/split_level") with per-square children on worker
-// tracks, V-rank cuts land in the recorder's "wavelet/v_rank" numerics
-// histogram, and extraction calls on the returned basis trace their
-// schedule. Nil rec/tr record nothing; the basis is bitwise-identical
-// either way.
-func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *obs.Recorder, tr *obs.Tracer) (*Basis, error) {
-	defer rec.Phase("wavelet/basis")()
+// NewBasisObs is NewBasisWorkers with observability: the build is timed as
+// phase "wavelet/basis" and emits one span per level
+// ("wavelet/split_level") with per-square children on worker tracks, V-rank
+// cuts land in the "wavelet/v_rank" numerics histogram, and extraction
+// calls on the returned basis record their phases and solve counters into
+// ms and trace their schedule. Nil ms/tr record nothing; the basis is
+// bitwise-identical either way.
+func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, ms *obs.Metrics, tr *obs.Tracer) (*Basis, error) {
+	defer ms.Phase("wavelet/basis")()
 	if p < 0 {
 		return nil, fmt.Errorf("wavelet: moment order must be >= 0")
 	}
 	b := &Basis{Layout: layout, Tree: tree, P: p, RankTol: 1e-9,
-		facFinest: map[int]*la.Dense{}, facCoarse: map[int]*la.Dense{}, facVCols: map[int]int{}, rec: rec, tr: tr}
+		facFinest: map[int]*la.Dense{}, facCoarse: map[int]*la.Dense{}, facVCols: map[int]int{}, ms: ms, tr: tr}
+	vRank := ms.Rank("wavelet/v_rank")
 	L := tree.MaxLevel
 	b.wCols = make([][][]int, L+1)
 	b.maxWAt = make([]int, L+1)
@@ -156,7 +150,7 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *
 		if sp.q == nil {
 			continue
 		}
-		b.rec.Rank("wavelet/v_rank", sp.vs)
+		vRank.Observe(float64(sp.vs))
 		vBasis[s.ID] = sp.q.Cols2(0, sp.vs)
 		b.appendW(s, sp.q.Cols2(sp.vs, len(s.Contacts)), s.Contacts)
 		b.facFinest[s.ID] = sp.q
@@ -235,7 +229,7 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *
 			if r.q == nil {
 				continue
 			}
-			b.rec.Rank("wavelet/v_rank", r.vs)
+			vRank.Observe(float64(r.vs))
 			next[s.ID] = r.vNew
 			b.appendW(s, r.wNew, s.Contacts)
 			b.facCoarse[levelKey(lev, s.ID)] = r.q

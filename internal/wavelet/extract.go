@@ -41,7 +41,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	if s.N() != b.N() {
 		return nil, fmt.Errorf("wavelet: solver has %d contacts, basis %d", s.N(), b.N())
 	}
-	defer b.rec.Phase("wavelet/extract")()
+	defer b.ms.Phase("wavelet/extract")()
 	xsp := b.tr.Begin("wavelet/extract_combined").Arg("n", b.N())
 	defer xsp.End()
 	em := newEntryMap(b.N())
@@ -127,8 +127,8 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 		}
 	}
 
-	b.rec.Add("wavelet/solves_direct", int64(len(direct)))
-	b.rec.Add("wavelet/solves_combined", int64(len(combs)))
+	b.ms.Event("wavelet/solves_direct").Add(int64(len(direct)))
+	b.ms.Event("wavelet/solves_combined").Add(int64(len(combs)))
 	xsp.Arg("solves_direct", len(direct)).Arg("solves_combined", len(combs))
 	ys, err := solver.SolveBatch(s, rhs)
 	if err != nil {
@@ -161,9 +161,9 @@ func (b *Basis) ExtractDirect(s solver.Solver) (*sparse.Matrix, error) {
 	if s.N() != b.N() {
 		return nil, fmt.Errorf("wavelet: solver has %d contacts, basis %d", s.N(), b.N())
 	}
-	defer b.rec.Phase("wavelet/extract")()
+	defer b.ms.Phase("wavelet/extract")()
 	n := b.N()
-	b.rec.Add("wavelet/solves_direct", int64(n))
+	b.ms.Event("wavelet/solves_direct").Add(int64(n))
 	resp := make([][]float64, n)
 	// Chunked batches keep the in-flight right-hand sides bounded while
 	// still feeding a parallel solver; slot-indexed responses keep the
