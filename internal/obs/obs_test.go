@@ -108,10 +108,18 @@ func TestCountersAndHistograms(t *testing.T) {
 }
 
 // TestReportConcurrentUse: batched solves record from the worker pool, so
-// phases, events and histograms must lose no update under concurrency.
+// phases, events and histograms must lose no update under concurrency, and
+// a live scrape (the -pprof expvar) may build a report meanwhile.
 func TestReportConcurrentUse(t *testing.T) {
 	m := NewMetrics()
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			m.Report()
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
