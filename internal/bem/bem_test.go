@@ -184,6 +184,88 @@ func TestBlocksMatchOperatorColumns(t *testing.T) {
 	}
 }
 
+// kEntry is A(p,q) = ¼[K(|Δi|,|Δj|) + K(|Δi|,Σj) + K(Σi,|Δj|) + K(Σi,Σj)],
+// read from the table k of an np-by-np panel grid (see precond.go).
+func kEntry(k []float64, np, p, q int) float64 {
+	n2 := 2 * np
+	ip, jp, iq, jq := p/np, p%np, q/np, q%np
+	di, si := abs(ip-iq), ip+iq+1
+	dj, sj := abs(jp-jq), jp+jq+1
+	return 0.25 * (k[di*n2+dj] + k[di*n2+sj] + k[si*n2+dj] + k[si*n2+sj])
+}
+
+// TestApplyAccMatchesKTable: applyAcc of sampled unit vectors, the solver's
+// per-iteration operator, equals the K table's entry A(p,q) at every
+// contact panel p, within 1e-13 of the column's diagonal. Example 3's
+// layout leaves every fourth panel row and column empty; the split
+// mixed-shapes layout has rings and thin contacts.
+func TestApplyAccMatchesKTable(t *testing.T) {
+	ex3 := geom.AlternatingGrid(64, 64, 16, 16, 1, 3)
+	for _, c := range []struct {
+		prof   *substrate.Profile
+		layout *geom.Layout
+		np     int
+		empty  bool // some panel row and some panel column hold no contact
+	}{
+		{substrate.TwoLayer(64, 40, 1, true), ex3, 64, true},
+		{substrate.TwoLayer(128, 40, 1, true), geom.MixedShapes(128).SplitToGrid(4), 128, false},
+	} {
+		t.Run(c.layout.Name, func(t *testing.T) {
+			s, err := New(c.prof, c.layout, c.np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, cols := map[int]bool{}, map[int]bool{}
+			for _, p := range s.panels {
+				rows[p/c.np], cols[p%c.np] = true, true
+			}
+			if c.empty && (len(rows) == c.np || len(cols) == c.np) {
+				t.Fatalf("%d of %d panel rows and %d columns hold contacts; want empty ones", len(rows), c.np, len(cols))
+			}
+			k := s.kTable()
+			ws := s.newWorkspace()
+			m := s.NumPanels()
+			worst := 0.0
+			for qi := 0; qi < m; qi += m/40 + 1 {
+				clear(ws.p)
+				ws.p[qi] = 1
+				s.applyAcc(ws.plan, ws.p, ws.ap, ws.field)
+				q := s.panels[qi]
+				diag := kEntry(k, c.np, q, q)
+				for x, p := range s.panels {
+					want := kEntry(k, c.np, p, q)
+					d := math.Abs(ws.ap[x]-want) / diag
+					if !(d <= 1e-13) {
+						t.Fatalf("column %d: entry at panel %d is %.17g, K table %.17g (diagonal %g)",
+							q, p, ws.ap[x], want, diag)
+					}
+					worst = max(worst, d)
+				}
+			}
+			t.Logf("%d panels, worst entry off by %.2g of the diagonal", m, worst)
+		})
+	}
+}
+
+// BenchmarkApplyAcc times one PCG iteration's operator apply at Example 3's
+// geometry (1024 alternating contacts on 128×128 panels) in a reused
+// workspace, as a solve runs it.
+func BenchmarkApplyAcc(b *testing.B) {
+	s, err := New(substrate.TwoLayer(128, 40, 1, true), geom.AlternatingGrid(128, 128, 32, 32, 1, 3), 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := s.newWorkspace()
+	for i := range ws.p {
+		ws.p[i] = float64(i%7) - 3
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.applyAcc(ws.plan, ws.p, ws.ap, ws.field)
+	}
+}
+
 // TestBlockFailureNamesContact: a block that is not positive definite fails
 // the solve with an error that names the contact.
 func TestBlockFailureNamesContact(t *testing.T) {

@@ -273,6 +273,92 @@ func TestPlanReuseMatchesThrowaway(t *testing.T) {
 	}
 }
 
+// direct2D applies the 1-D reference f along every row, then every column,
+// of an nx-by-ny row-major field, in place.
+func direct2D(a []float64, nx, ny int, f func([]float64) []float64) {
+	for i := 0; i < nx; i++ {
+		copy(a[i*ny:(i+1)*ny], f(a[i*ny:(i+1)*ny]))
+	}
+	col := make([]float64, nx)
+	for j := 0; j < ny; j++ {
+		for i := range col {
+			col[i] = a[i*ny+j]
+		}
+		for i, x := range f(col) {
+			a[i*ny+j] = x
+		}
+	}
+}
+
+// checkDirect2D runs DCT2D2 and DCT2D3 of a through a plan and requires
+// every entry within 1e-12·max|ref| of the direct sums along both axes.
+func checkDirect2D(t *testing.T, name string, a []float64, nx, ny int) {
+	t.Helper()
+	p := NewPlan(nx, ny)
+	for _, step := range []struct {
+		name string
+		plan func([]float64)
+		ref  func([]float64) []float64
+	}{
+		{"DCT2D2", p.DCT2D2, dct2Direct},
+		{"DCT2D3", p.DCT2D3, dct3Direct},
+	} {
+		got := append([]float64(nil), a...)
+		want := append([]float64(nil), a...)
+		step.plan(got)
+		direct2D(want, nx, ny, step.ref)
+		var scale float64
+		for _, w := range want {
+			scale = max(scale, math.Abs(w))
+		}
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); !(d <= 1e-12*scale) {
+				t.Fatalf("%s %dx%d %s: entry %d is %.17g, direct %.17g (max |direct| %g)",
+					name, nx, ny, step.name, i, got[i], want[i], scale)
+			}
+		}
+	}
+}
+
+// TestPlanMatchesDirect holds the planned transforms to the defining sums,
+// per element, at every 2-D size and every 1-D length up to 256, on random
+// fields and on the sparse shapes the solvers feed them: every fourth row
+// zero (Example 3's panel field), odd row counts and one nonzero row.
+func TestPlanMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	field := func(nx, ny int, zeroRow func(i int) bool) []float64 {
+		a := make([]float64, nx*ny)
+		for i := 0; i < nx; i++ {
+			if zeroRow(i) {
+				continue
+			}
+			for j := 0; j < ny; j++ {
+				a[i*ny+j] = rng.NormFloat64()
+			}
+		}
+		return a
+	}
+	dense := func(int) bool { return false }
+	for _, sz := range [][2]int{
+		{1, 1}, {2, 2}, {8, 16}, {16, 8}, {24, 24}, {64, 64},
+		{128, 128}, {256, 256}, {12, 20}, {3, 5}, {3, 8}, {5, 128},
+	} {
+		checkDirect2D(t, "random", field(sz[0], sz[1], dense), sz[0], sz[1])
+	}
+	for n := 1; n <= 256; n++ {
+		checkDirect2D(t, "1-D", field(1, n, dense), 1, n)
+		checkDirect2D(t, "1-D", field(n, 1, dense), n, 1)
+	}
+	everyFourth := func(i int) bool { return i%4 == 3 }
+	for _, sz := range [][2]int{{8, 16}, {24, 24}, {12, 20}, {128, 128}, {5, 128}} {
+		checkDirect2D(t, "every fourth row zero", field(sz[0], sz[1], everyFourth), sz[0], sz[1])
+	}
+	for _, sz := range [][2]int{{8, 16}, {12, 20}, {128, 128}} {
+		one := func(i int) bool { return i != sz[0]/2 }
+		checkDirect2D(t, "one nonzero row", field(sz[0], sz[1], one), sz[0], sz[1])
+	}
+}
+
 // TestPlanPairDoesNotAllocate pins the solvers' per-iteration transform
 // pair at the extraction size to zero allocations.
 func TestPlanPairDoesNotAllocate(t *testing.T) {
