@@ -35,6 +35,7 @@ type Solver struct {
 	lam    []float64 // per-mode scaling, np*np
 	panels []int     // all contact panel indices, concatenated
 	owner  []int     // owner[i] = contact owning panels[i]
+	cols   []int     // the panel columns holding a contact panel, ascending
 	np     int
 	Tol    float64
 	MaxIts int
@@ -89,10 +90,17 @@ func New(prof *substrate.Profile, layout *geom.Layout, np int) (*Solver, error) 
 		Tol:    1e-9,
 		MaxIts: 2000,
 	}
+	used := make([]bool, np)
 	for ci, ps := range pan.ContactPanels {
 		for _, p := range ps {
 			s.panels = append(s.panels, p)
 			s.owner = append(s.owner, ci)
+			used[p%np] = true
+		}
+	}
+	for j, u := range used {
+		if u {
+			s.cols = append(s.cols, j)
 		}
 	}
 	return s, nil
@@ -122,15 +130,18 @@ func (s *Solver) applyOperator(plan *dct.Plan, field []float64) {
 }
 
 // applyAcc computes y = A_cc·q on the contact panels, transforming through
-// the solve's plan.
+// the solve's plan. The inverse transform computes only the panel columns
+// that hold contact panels, the only ones read back.
 func (s *Solver) applyAcc(plan *dct.Plan, q, y, field []float64) {
-	for i := range field {
-		field[i] = 0
-	}
+	clear(field)
 	for i, p := range s.panels {
 		field[p] = q[i]
 	}
-	s.applyOperator(plan, field)
+	plan.DCT2D2(field)
+	for i, l := range s.lam {
+		field[i] *= l
+	}
+	plan.DCT2D3Cols(field, s.cols)
 	for i, p := range s.panels {
 		y[i] = field[p]
 	}

@@ -186,13 +186,12 @@ func (s *Solver) blockSolve(r, z []float64) {
 // BenchmarkBemPreconditioner).
 
 // applyFastSolver computes z = M⁻¹·r: zero-pad, DCT, divide by the mode
-// scaling, inverse DCT, restrict. The DCT round trip contributes a factor
-// (np/2)² that must be divided out twice (once per pass), i.e. a total
-// scale of (2/np)⁴ relative to the raw pipeline.
+// scaling, inverse DCT (of the contact-panel columns only, as applyAcc),
+// restrict. The DCT round trip contributes a factor (np/2)² that must be
+// divided out twice (once per pass), i.e. a total scale of (2/np)⁴
+// relative to the raw pipeline.
 func (s *Solver) applyFastSolver(plan *dct.Plan, r, z, field []float64) {
-	for i := range field {
-		field[i] = 0
-	}
+	clear(field)
 	for i, p := range s.panels {
 		field[p] = r[i]
 	}
@@ -201,7 +200,7 @@ func (s *Solver) applyFastSolver(plan *dct.Plan, r, z, field []float64) {
 	for i, il := range s.invLam {
 		field[i] *= il * scale
 	}
-	plan.DCT2D3(field)
+	plan.DCT2D3Cols(field, s.cols)
 	for i, p := range s.panels {
 		z[i] = field[p]
 	}

@@ -2,6 +2,11 @@
 // solvers: fast DCT-II / DCT-III in two dimensions, planned once per field
 // size (Plan), and a Thomas tridiagonal solver.
 //
+// Power-of-two lengths run Makhoul's algorithm on a radix-2 complex FFT,
+// two real rows (or columns) per FFT, and a pass skips rows that are
+// entirely zero. Other lengths evaluate the defining sums against a cosine
+// table. Plan.DCT2D3Cols transforms only the columns its caller reads.
+//
 // The fast-Poisson-solver preconditioner of the finite-difference solver
 // (thesis §2.2.2) diagonalizes the grid-of-resistors operator in the DCT
 // basis, and the eigenfunction surface solver (thesis §2.3.1, Fig 2-6)

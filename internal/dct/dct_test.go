@@ -37,16 +37,16 @@ func dct3Direct(x []float64) []float64 {
 	return out
 }
 
-// planDCT2 and planDCT3 run x through a fresh plan's 1-D transform.
+// planDCT2 and planDCT3 run x alone through a fresh plan's 1-D transform.
 func planDCT2(x []float64) []float64 {
 	y := append([]float64(nil), x...)
-	newAxis(len(y)).dct2(y)
+	newAxis(len(y)).dct2(y, nil)
 	return y
 }
 
 func planDCT3(x []float64) []float64 {
 	y := append([]float64(nil), x...)
-	newAxis(len(y)).dct3(y)
+	newAxis(len(y)).dct3(y, nil)
 	return y
 }
 
@@ -248,6 +248,17 @@ func TestDCT2DRoundTrip(t *testing.T) {
 	}
 }
 
+// sameBits reports the first index where got and want differ in their bit
+// patterns, or -1.
+func sameBits(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestPlanReuseMatchesThrowaway runs several fields through one plan, with
 // a power-of-two and a direct-sum dimension, and requires the bits of
 // throwaway-plan transforms: a reused plan's scratch carries nothing over.
@@ -290,18 +301,29 @@ func direct2D(a []float64, nx, ny int, f func([]float64) []float64) {
 	}
 }
 
-// checkDirect2D runs DCT2D2 and DCT2D3 of a through a plan and requires
-// every entry within 1e-12·max|ref| of the direct sums along both axes.
-func checkDirect2D(t *testing.T, name string, a []float64, nx, ny int) {
+// checkDirect2D runs DCT2D2, DCT2D3 and DCT2D3Cols of a through a plan and
+// requires every entry within 1e-12·max|ref| of the direct sums along both
+// axes. DCT2D3Cols keeps the columns j with j%4 != 3, the columns that hold
+// Example 3's contact panels, and only those are compared. It returns the
+// worst error found, relative to max|ref|.
+func checkDirect2D(t *testing.T, name string, a []float64, nx, ny int) (worst float64) {
 	t.Helper()
 	p := NewPlan(nx, ny)
+	var kept []int
+	for j := 0; j < ny; j++ {
+		if j%4 != 3 {
+			kept = append(kept, j)
+		}
+	}
 	for _, step := range []struct {
 		name string
 		plan func([]float64)
 		ref  func([]float64) []float64
+		all  bool // every column is compared
 	}{
-		{"DCT2D2", p.DCT2D2, dct2Direct},
-		{"DCT2D3", p.DCT2D3, dct3Direct},
+		{"DCT2D2", p.DCT2D2, dct2Direct, true},
+		{"DCT2D3", p.DCT2D3, dct3Direct, true},
+		{"DCT2D3Cols", func(a []float64) { p.DCT2D3Cols(a, kept) }, dct3Direct, false},
 	} {
 		got := append([]float64(nil), a...)
 		want := append([]float64(nil), a...)
@@ -312,18 +334,27 @@ func checkDirect2D(t *testing.T, name string, a []float64, nx, ny int) {
 			scale = max(scale, math.Abs(w))
 		}
 		for i := range want {
-			if d := math.Abs(got[i] - want[i]); !(d <= 1e-12*scale) {
+			if !step.all && i%ny%4 == 3 {
+				continue
+			}
+			d := math.Abs(got[i] - want[i])
+			if !(d <= 1e-12*scale) {
 				t.Fatalf("%s %dx%d %s: entry %d is %.17g, direct %.17g (max |direct| %g)",
 					name, nx, ny, step.name, i, got[i], want[i], scale)
 			}
+			if scale > 0 {
+				worst = max(worst, d/scale)
+			}
 		}
 	}
+	return worst
 }
 
 // TestPlanMatchesDirect holds the planned transforms to the defining sums,
 // per element, at every 2-D size and every 1-D length up to 256, on random
-// fields and on the sparse shapes the solvers feed them: every fourth row
-// zero (Example 3's panel field), odd row counts and one nonzero row.
+// fields and on the shapes that exercise the row pairing and the zero-row
+// skip: every fourth row zero (Example 3's panel field), odd row counts and
+// one nonzero row.
 func TestPlanMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	field := func(nx, ny int, zeroRow func(i int) bool) []float64 {
@@ -343,7 +374,8 @@ func TestPlanMatchesDirect(t *testing.T) {
 		{1, 1}, {2, 2}, {8, 16}, {16, 8}, {24, 24}, {64, 64},
 		{128, 128}, {256, 256}, {12, 20}, {3, 5}, {3, 8}, {5, 128},
 	} {
-		checkDirect2D(t, "random", field(sz[0], sz[1], dense), sz[0], sz[1])
+		worst := checkDirect2D(t, "random", field(sz[0], sz[1], dense), sz[0], sz[1])
+		t.Logf("%dx%d: worst entry off by %.2g of max|direct|", sz[0], sz[1], worst)
 	}
 	for n := 1; n <= 256; n++ {
 		checkDirect2D(t, "1-D", field(1, n, dense), 1, n)
@@ -356,6 +388,30 @@ func TestPlanMatchesDirect(t *testing.T) {
 	for _, sz := range [][2]int{{8, 16}, {12, 20}, {128, 128}} {
 		one := func(i int) bool { return i != sz[0]/2 }
 		checkDirect2D(t, "one nonzero row", field(sz[0], sz[1], one), sz[0], sz[1])
+	}
+}
+
+// TestZeroAndNaNRows: the zero-row skip leaves a zero field zero, and a
+// row holding one NaN is not skipped, so the NaN reaches every entry.
+func TestZeroAndNaNRows(t *testing.T) {
+	for _, sz := range [][2]int{{8, 16}, {12, 20}} {
+		nx, ny := sz[0], sz[1]
+		p := NewPlan(nx, ny)
+		a := make([]float64, nx*ny)
+		p.DCT2D2(a)
+		p.DCT2D3(a)
+		for i, x := range a {
+			if x != 0 {
+				t.Fatalf("%dx%d zero field: entry %d is %g", nx, ny, i, x)
+			}
+		}
+		a[3*ny+5] = math.NaN()
+		p.DCT2D2(a)
+		for i, x := range a {
+			if !math.IsNaN(x) {
+				t.Fatalf("%dx%d: entry %d is %g after DCT2D2 of a NaN, want NaN", nx, ny, i, x)
+			}
+		}
 	}
 }
 

@@ -36,6 +36,11 @@ func Do(workers, n int, fn func(i int)) {
 // observability (per-worker trace tracks) — it must never influence the
 // computed result, which stays bitwise-identical for any worker count. The
 // inline path runs every item as worker 0.
+//
+// A panic in fn reaches the caller on either path, so the caller's own
+// recover covers its items. The pooled path recovers each item's panic on
+// its goroutine, runs every other item, and after the pool drains panics
+// on the caller with the value of the lowest panicking index.
 func DoWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -52,6 +57,8 @@ func DoWorker(workers, n int, fn func(worker, i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	failed, value := n, any(nil) // lowest panicking index and its value
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
@@ -61,11 +68,28 @@ func DoWorker(workers, n int, fn func(worker, i int)) {
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				if p := call(fn, worker, i); p != nil {
+					mu.Lock()
+					if i < failed {
+						failed, value = i, p
+					}
+					mu.Unlock()
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if failed < n {
+		panic(value)
+	}
+}
+
+// call runs fn(worker, i) and returns the value it panicked with, or nil.
+// (A panic(nil) recovers as a non-nil *runtime.PanicNilError.)
+func call(fn func(worker, i int), worker, i int) (p any) {
+	defer func() { p = recover() }()
+	fn(worker, i)
+	return nil
 }
 
 // DoErr is Do for fallible work. Every item runs (no cancellation — items
@@ -79,7 +103,7 @@ func DoErr(workers, n int, fn func(i int) error) error {
 // DoWorkerErr is DoErr with the pool-slot index exposed (see DoWorker). A
 // panic in fn is recovered and becomes item i's error, naming the item, on
 // the inline and the pooled path alike: a faulty item fails the call
-// instead of the process.
+// instead of panicking on the caller.
 func DoWorkerErr(workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil

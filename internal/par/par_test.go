@@ -133,3 +133,33 @@ func TestDoWorkerErrRecoversPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestDoWorkerPanicReachesCaller: a panicking item of the infallible
+// fan-out panics on the caller, where a recover can catch it, with the
+// lowest panicking item's value, on the inline and the pooled path alike;
+// the pooled path still runs every other item first.
+func TestDoWorkerPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		var ran atomic.Int64
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			DoWorker(workers, 20, func(_, i int) {
+				ran.Add(1)
+				if i == 7 || i == 12 {
+					panic(fmt.Sprintf("fault %d", i))
+				}
+			})
+			return nil
+		}()
+		if got != "fault 7" {
+			t.Fatalf("workers=%d: recovered %v, want item 7's panic value", workers, got)
+		}
+		want := int64(20) // the pooled path runs every item
+		if workers == 1 {
+			want = 8 // the inline path stops at the panic
+		}
+		if ran.Load() != want {
+			t.Fatalf("workers=%d: %d items ran, want %d", workers, ran.Load(), want)
+		}
+	}
+}

@@ -39,49 +39,56 @@ func privateModel(t *testing.T, method core.Method) *model.Model {
 // model's structure) must come back as an error — not kill the daemon, not
 // strand the checked-out engine. With a one-engine pool, the follow-up apply
 // both proves the engine returned to the pool and that it still computes
-// bitwise-correct results.
+// bitwise-correct results. With two batcher workers the width-2 panel runs
+// its columns on pooled goroutines, so the panic starts off the flush's
+// goroutine.
 func TestFlushPanicRecovery(t *testing.T) {
-	m := privateModel(t, core.LowRank)
-	ms := obs.NewMetrics()
-	pool := registry.NewPool(m, 1, nil)
-	b := registry.NewBatcher(pool, 4, 1, nil)
-	b.SetMetrics(ms, "m")
-	defer b.Close()
-	// The held engine queues both requests below, so they fuse into one
-	// flush and exercise a width-2 panel, not just the k == 1 case.
-	release := holdEngines(t, pool)
-	defer release()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			m := privateModel(t, core.LowRank)
+			ms := obs.NewMetrics()
+			pool := registry.NewPool(m, 1, nil)
+			b := registry.NewBatcher(pool, 4, workers, nil)
+			b.SetMetrics(ms, "m")
+			defer b.Close()
+			// The held engine queues both requests below, so they fuse into
+			// one flush and exercise a width-2 panel, not just the k == 1
+			// case.
+			release := holdEngines(t, pool)
+			defer release()
 
-	ctx := context.Background()
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = b.Apply(ctx, make([]float64, m.N), probeVec(m.N, i), false)
-		}(i)
-	}
-	waitQueueDepth(t, b, len(errs))
-	saved := m.Gw.ColIdx[0]
-	m.Gw.ColIdx[0] = -1 // poison: the next apply indexes out of range
-	release()
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "apply panic") {
-			t.Fatalf("poisoned request %d: err = %v, want an apply-panic error", i, err)
-		}
-	}
-	if bs := ms.Histogram(registry.MetricBatchSize, "", "model", "m"); bs.Count() != 1 || bs.Sum() != 2 {
-		t.Fatalf("poisoned requests flushed as %d batches carrying %v, want one width-2 panel", bs.Count(), bs.Sum())
-	}
+			ctx := context.Background()
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = b.Apply(ctx, make([]float64, m.N), probeVec(m.N, i), false)
+				}(i)
+			}
+			waitQueueDepth(t, b, len(errs))
+			saved := m.Gw.ColIdx[0]
+			m.Gw.ColIdx[0] = -1 // poison: the next apply indexes out of range
+			release()
+			wg.Wait()
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "apply panic") {
+					t.Fatalf("poisoned request %d: err = %v, want an apply-panic error", i, err)
+				}
+			}
+			if bs := ms.Histogram(registry.MetricBatchSize, "", "model", "m"); bs.Count() != 1 || bs.Sum() != 2 {
+				t.Fatalf("poisoned requests flushed as %d batches carrying %v, want one width-2 panel", bs.Count(), bs.Sum())
+			}
 
-	m.Gw.ColIdx[0] = saved
-	y := make([]float64, m.N)
-	if err := b.Apply(ctx, y, probeVec(m.N, 3), false); err != nil {
-		t.Fatalf("apply after recovered panic: %v (engine leaked from the pool?)", err)
+			m.Gw.ColIdx[0] = saved
+			y := make([]float64, m.N)
+			if err := b.Apply(ctx, y, probeVec(m.N, 3), false); err != nil {
+				t.Fatalf("apply after recovered panic: %v (engine leaked from the pool?)", err)
+			}
+			bitwiseEqual(t, "apply after recovered panic", y, direct(m, probeVec(m.N, 3), false))
+		})
 	}
-	bitwiseEqual(t, "apply after recovered panic", y, direct(m, probeVec(m.N, 3), false))
 }
 
 // TestColumnAndFingerprintPanicRecovery pins the handler-side hardening: a
