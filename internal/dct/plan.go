@@ -9,10 +9,11 @@ import (
 // need: per-dimension tables and work buffers. Transforming a field through
 // a plan allocates nothing and evaluates no cosine, sine or twiddle.
 //
-// Each pass transforms the rows (then the columns) two at a time, through
-// one complex FFT, and skips any row that is entirely zero: its transform
-// is zero. A row's rounding therefore depends on the row it is paired
-// with, but the result is still a deterministic function of the field.
+// A pass over the rows (then the columns) skips any row that is entirely
+// zero, since its transform is zero, and hands the others to the axis two
+// at a time; a power-of-two axis transforms the two through one complex
+// FFT. A row's rounding therefore depends on the row it is paired with,
+// but the result is still a deterministic function of the field.
 //
 // A Plan is not safe for concurrent use: the solvers build one per solve.
 type Plan struct {
@@ -54,7 +55,7 @@ func (p *Plan) DCT2D3Cols(a []float64, cols []int) { p.transform(a, (*axis).dct3
 
 // transform runs f over the nonzero rows of a, two at a time, then over the
 // nonzero columns listed in cols through the gather buffers. An unpaired
-// last row or column runs alone.
+// last row or column goes to f alone, with a nil partner.
 func (p *Plan) transform(a []float64, f func(ax *axis, x, y []float64), cols []int) {
 	nx, ny := p.nx, p.ny
 	if len(a) != nx*ny {

@@ -57,8 +57,12 @@ func DoWorker(workers, n int, fn func(worker, i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	failed, value := n, any(nil) // lowest panicking index and its value
+	var fail struct {
+		sync.Mutex
+		i int // lowest panicking index, n if none
+		v any // its panic value
+	}
+	fail.i = n
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
@@ -69,18 +73,18 @@ func DoWorker(workers, n int, fn func(worker, i int)) {
 					return
 				}
 				if p := call(fn, worker, i); p != nil {
-					mu.Lock()
-					if i < failed {
-						failed, value = i, p
+					fail.Lock()
+					if i < fail.i {
+						fail.i, fail.v = i, p
 					}
-					mu.Unlock()
+					fail.Unlock()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if failed < n {
-		panic(value)
+	if fail.i < n {
+		panic(fail.v)
 	}
 }
 
