@@ -21,13 +21,18 @@ import (
 // goldenBits are the served bits of extract256's models, captured once and
 // pinned across commits: a kernel refactor that changes any served value,
 // for any column, fails here even if every in-tree path changed alike.
+//
+// artifact hashes the encoded model itself, so it also pins what the
+// operator columns cannot see: the CSR and CSC index arrays, which exact
+// zeros were dropped, and the presentation order.
 var goldenBits = []struct {
 	method                      core.Method
 	fingerprint                 uint64
 	columns, thresholded, qcols uint64
+	artifact                    uint64
 }{
-	{core.LowRank, 0x5bb6e60bc6c4926a, 0x13011d282e860cc5, 0xa42df90e39ae4edc, 0x228486b93772ed08},
-	{core.Wavelet, 0x008b803b90e0fc41, 0x0523bc53edc19e26, 0xc9d10de48b1866e2, 0x32c20434ade322cb},
+	{core.LowRank, 0x5bb6e60bc6c4926a, 0x13011d282e860cc5, 0xa42df90e39ae4edc, 0x228486b93772ed08, 0xe64e120833eb2dc8},
+	{core.Wavelet, 0x008b803b90e0fc41, 0x0523bc53edc19e26, 0xc9d10de48b1866e2, 0x32c20434ade322cb, 0xcd8cc560ecdab1df},
 }
 
 // mixBits feeds the exact bit patterns of v into h.
@@ -40,8 +45,8 @@ func mixBits(h hash.Hash64, v []float64) {
 }
 
 // TestGoldenServedBits pins the fingerprint, every operator column (plain
-// and thresholded) and every native Q column of the low-rank (QColumns) and
-// wavelet (QFactored) models against constants.
+// and thresholded), every native Q column and the encoded artifact of the
+// low-rank (QColumns) and wavelet (QFactored) models against constants.
 func TestGoldenServedBits(t *testing.T) {
 	for _, g := range goldenBits {
 		t.Run(g.method.String(), func(t *testing.T) {
@@ -56,6 +61,12 @@ func TestGoldenServedBits(t *testing.T) {
 				eng.QColumnInto(q, j)
 				mixBits(qcols, q)
 			}
+			data, err := model.Encode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			artifact := fnv.New64a()
+			artifact.Write(data)
 			for _, c := range []struct {
 				what      string
 				got, want uint64
@@ -64,6 +75,7 @@ func TestGoldenServedBits(t *testing.T) {
 				{"columns", cols.Sum64(), g.columns},
 				{"thresholded columns", thr.Sum64(), g.thresholded},
 				{"Q columns", qcols.Sum64(), g.qcols},
+				{"artifact", artifact.Sum64(), g.artifact},
 			} {
 				if c.got != c.want {
 					t.Errorf("%s hash %#016x, want %#016x", c.what, c.got, c.want)
