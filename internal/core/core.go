@@ -205,7 +205,7 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 		tr := rep.Transform()
 		res.Gw = tr.Gw
 		m.Kind = model.QColumns
-		m.Cols = tr.ExportColumns()
+		m.Cols = tr.Columns
 		m.Order = tr.ColumnOrder()
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", opt.Method)

@@ -1,35 +1,9 @@
 package lowrank
 
 import (
-	"sort"
-
-	"subcouple/internal/model"
 	"subcouple/internal/par"
-	"subcouple/internal/quadtree"
 	"subcouple/internal/sparse"
 )
-
-// entryMap accumulates Gw entries with set (not sum) semantics so the
-// symmetric mirror never double-counts.
-type entryMap struct {
-	n int
-	m map[int64]float64
-}
-
-func newEntryMap(n int) *entryMap { return &entryMap{n: n, m: make(map[int64]float64)} }
-
-func (e *entryMap) put(i, j int, v float64) {
-	e.m[int64(i)*int64(e.n)+int64(j)] = v
-	e.m[int64(j)*int64(e.n)+int64(i)] = v
-}
-
-func (e *entryMap) matrix() *sparse.Matrix {
-	ts := make([]sparse.Triplet, 0, len(e.m))
-	for k, v := range e.m {
-		ts = append(ts, sparse.Triplet{Row: int(k / int64(e.n)), Col: int(k % int64(e.n)), Val: v})
-	}
-	return sparse.FromTriplets(e.n, e.n, ts)
-}
 
 // assembleGw fills the kept entries of Gw (§4.4.1): interactions between
 // fast-decaying T columns in squares local to each other (same-level and
@@ -40,9 +14,9 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 	n := r.Layout.N()
 	asp := r.Opt.Trace.Begin("lowrank/gw_assembly").Arg("n", n)
 	defer asp.End()
-	em := newEntryMap(n)
+	gw := sparse.NewSymSet(n)
 	// Per-square entry lists are computed on the worker pool and merged
-	// into the entry map serially in square order, so the set-semantics
+	// into the assembler serially in square order, so the set-semantics
 	// overwrites resolve the same way for any worker count.
 	type gwEntry struct {
 		i, j int
@@ -64,7 +38,7 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 				return
 			}
 			ssp := lsp.ChildOn(worker+1, "lowrank/gw_square").Arg("square", sq.ID)
-			targets := tr.targetColumns(sq, lev)
+			targets := r.Tree.LocalColumns(sq, tr.tCols)
 			list := make([]gwEntry, 0, ss.T.Cols*len(targets))
 			for m := 0; m < ss.T.Cols; m++ {
 				cj := tr.tCols[lev][sq.ID][m]
@@ -79,7 +53,7 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 		lsp.End()
 		for _, list := range lists {
 			for _, e := range list {
-				em.put(e.i, e.j, e.v)
+				gw.Put(e.i, e.j, e.v)
 			}
 		}
 	}
@@ -97,13 +71,6 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 		}
 		ssp := usp.ChildOn(worker+1, "lowrank/gw_square").Arg("square", sq.ID)
 		defer ssp.End()
-		base := 0
-		for _, ui := range tr.uCols {
-			if tr.Cols[ui].Square == sq {
-				base = ui - tr.Cols[ui].M
-				break
-			}
-		}
 		var list []gwEntry
 		for m := 0; m < ss.U.Cols; m++ {
 			full := make([]float64, n)
@@ -123,9 +90,9 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 					full[c] += resp[i]
 				}
 			}
-			cj := base + m
-			for ci := range tr.Cols {
-				list = append(list, gwEntry{ci, cj, tr.colDot(ci, full)})
+			cj := ss.uBase + m
+			for ci := 0; ci < n; ci++ {
+				list = append(list, gwEntry{ci, cj, tr.Columns.Dot(ci, full)})
 			}
 		}
 		ulists[si] = list
@@ -133,84 +100,38 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 	usp.End()
 	for _, list := range ulists {
 		for _, e := range list {
-			em.put(e.i, e.j, e.v)
+			gw.Put(e.i, e.j, e.v)
 		}
 	}
-	tr.Gw = em.matrix()
+	tr.Gw = gw.Matrix()
 }
 
 // dotAgainstLocal computes qᵢᵀ·(G·t) where the response G·t is known at the
 // local-contact rows indexed by lIndex. Column ci's support must lie inside
 // that region (guaranteed by the target enumeration).
 func (tr *Transformed) dotAgainstLocal(ci int, dcol []float64, lIndex map[int]int) float64 {
+	c := tr.Columns
 	var s float64
-	for _, e := range tr.colVecs[ci] {
-		row, ok := lIndex[e.row]
+	for k := c.ColPtr[ci]; k < c.ColPtr[ci+1]; k++ {
+		row, ok := lIndex[c.RowIdx[k]]
 		if !ok {
 			panic("lowrank: target column support escapes the local region")
 		}
-		s += e.val * dcol[row]
+		s += c.Val[k] * dcol[row]
 	}
 	return s
-}
-
-// targetColumns lists the T columns at levels >= lev whose level-lev
-// ancestor square is local to s.
-func (tr *Transformed) targetColumns(s *quadtree.Square, lev int) []int {
-	var out []int
-	for _, q := range tr.Rep.Tree.Local(s) {
-		var rec func(sq *quadtree.Square)
-		rec = func(sq *quadtree.Square) {
-			out = append(out, tr.tCols[sq.Level][sq.ID]...)
-			for _, c := range tr.Rep.Tree.Children(sq) {
-				rec(c)
-			}
-		}
-		rec(q)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // N returns the basis dimension.
 func (tr *Transformed) N() int { return tr.Rep.Layout.N() }
 
-// colDot returns the inner product of Q column idx with a dense vector.
-func (tr *Transformed) colDot(idx int, y []float64) float64 {
-	var s float64
-	for _, e := range tr.colVecs[idx] {
-		s += e.val * y[e.row]
-	}
-	return s
-}
-
-// colAdd accumulates Q column idx scaled into y.
-func (tr *Transformed) colAdd(idx int, scale float64, y []float64) {
-	for _, e := range tr.colVecs[idx] {
-		y[e.row] += scale * e.val
-	}
-}
-
 // ColVector materializes Q column idx.
-func (tr *Transformed) ColVector(idx int) []float64 {
-	v := make([]float64, tr.N())
-	tr.colAdd(idx, 1, v)
-	return v
-}
+func (tr *Transformed) ColVector(idx int) []float64 { return tr.Columns.Vector(idx, tr.N()) }
 
 // Q materializes the change-of-basis matrix with columns ordered: level-2 U
 // block first, then T blocks level by level coarse to fine, squares in
 // quadrant-hierarchical order (matching the thesis spy plots).
-func (tr *Transformed) Q() *sparse.Matrix {
-	order := tr.ColumnOrder()
-	var ts []sparse.Triplet
-	for newIdx, oldIdx := range order {
-		for _, e := range tr.colVecs[oldIdx] {
-			ts = append(ts, sparse.Triplet{Row: e.row, Col: newIdx, Val: e.val})
-		}
-	}
-	return sparse.FromTriplets(tr.N(), tr.N(), ts)
-}
+func (tr *Transformed) Q() *sparse.Matrix { return tr.Columns.Matrix(tr.N(), tr.ColumnOrder()) }
 
 // ColumnOrder returns the presentation order of columns.
 func (tr *Transformed) ColumnOrder() []int {
@@ -222,65 +143,4 @@ func (tr *Transformed) ColumnOrder() []int {
 		}
 	}
 	return order
-}
-
-// GwReordered returns Gw with rows and columns permuted into the
-// presentation order used by Q() (for spy plots).
-func (tr *Transformed) GwReordered(gw *sparse.Matrix) *sparse.Matrix {
-	order := tr.ColumnOrder()
-	pos := make([]int, len(order))
-	for newIdx, oldIdx := range order {
-		pos[oldIdx] = newIdx
-	}
-	var ts []sparse.Triplet
-	for rIdx := 0; rIdx < gw.Rows; rIdx++ {
-		for k := gw.RowPtr[rIdx]; k < gw.RowPtr[rIdx+1]; k++ {
-			ts = append(ts, sparse.Triplet{Row: pos[rIdx], Col: pos[gw.ColIdx[k]], Val: gw.Val[k]})
-		}
-	}
-	return sparse.FromTriplets(gw.Rows, gw.Cols, ts)
-}
-
-// Apply computes Q·Gw·Qᵀ·x for a given (possibly thresholded) Gw.
-func (tr *Transformed) Apply(gw *sparse.Matrix, x []float64) []float64 {
-	u := make([]float64, tr.N())
-	for c := range tr.Cols {
-		u[c] = tr.colDot(c, x)
-	}
-	w := gw.MulVec(u)
-	out := make([]float64, tr.N())
-	for c, wc := range w {
-		if wc != 0 {
-			tr.colAdd(c, wc, out)
-		}
-	}
-	return out
-}
-
-// ApproxColumn returns column j of Q·Gw·Qᵀ.
-func (tr *Transformed) ApproxColumn(gw *sparse.Matrix, j int) []float64 {
-	x := make([]float64, tr.N())
-	x[j] = 1
-	return tr.Apply(gw, x)
-}
-
-// ExportColumns flattens the per-column sparse vectors of Q into the
-// serializable CSC form of internal/model, preserving the per-column entry
-// order exactly — a model.Engine's apply loops then reproduce Apply's
-// accumulation order bit for bit.
-func (tr *Transformed) ExportColumns() *model.Columns {
-	colPtr := make([]int, len(tr.colVecs)+1)
-	for i, es := range tr.colVecs {
-		colPtr[i+1] = colPtr[i] + len(es)
-	}
-	nnz := colPtr[len(tr.colVecs)]
-	rowIdx := make([]int, 0, nnz)
-	vals := make([]float64, 0, nnz)
-	for _, es := range tr.colVecs {
-		for _, e := range es {
-			rowIdx = append(rowIdx, e.row)
-			vals = append(vals, e.val)
-		}
-	}
-	return &model.Columns{ColPtr: colPtr, RowIdx: rowIdx, Val: vals}
 }

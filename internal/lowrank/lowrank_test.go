@@ -9,6 +9,7 @@ import (
 	"subcouple/internal/la"
 	"subcouple/internal/quadtree"
 	"subcouple/internal/solver"
+	"subcouple/internal/sparse"
 	"subcouple/internal/substrate"
 )
 
@@ -139,13 +140,13 @@ func TestTransformOrthogonalAndComplete(t *testing.T) {
 	rep, _ := buildRep(t, layout, tree, g, DefaultOptions())
 	tr := rep.Transform()
 	n := layout.N()
-	if len(tr.Cols) != n {
-		t.Fatalf("Q has %d columns for %d contacts", len(tr.Cols), n)
+	if tr.Columns.Len() != n {
+		t.Fatalf("Q has %d columns for %d contacts", tr.Columns.Len(), n)
 	}
 	for i := 0; i < n; i += 5 {
 		vi := tr.ColVector(i)
 		for j := 0; j < n; j++ {
-			dot := tr.colDot(j, vi)
+			dot := tr.Columns.Dot(j, vi)
 			want := 0.0
 			if i == j {
 				want = 1.0
@@ -157,6 +158,13 @@ func TestTransformOrthogonalAndComplete(t *testing.T) {
 	}
 }
 
+// approxColumn returns column j of Q·Gw·Qᵀ.
+func approxColumn(tr *Transformed, gw *sparse.Matrix, j int) []float64 {
+	x := make([]float64, tr.N())
+	x[j] = 1
+	return tr.Columns.Apply(gw, x)
+}
+
 func TestTransformOperatorAccuracy(t *testing.T) {
 	layout, tree, g := regularSetup(t)
 	rep, _ := buildRep(t, layout, tree, g, DefaultOptions())
@@ -164,7 +172,7 @@ func TestTransformOperatorAccuracy(t *testing.T) {
 	scale := g.MaxAbs()
 	var worst float64
 	for j := 0; j < tr.N(); j++ {
-		col := tr.ApproxColumn(tr.Gw, j)
+		col := approxColumn(tr, tr.Gw, j)
 		for i := range col {
 			if d := math.Abs(col[i]-g.At(i, j)) / scale; d > worst {
 				worst = d
@@ -203,7 +211,7 @@ func TestAlternatingLayoutAccuracy(t *testing.T) {
 	scale := g.MaxAbs()
 	var worst float64
 	for j := 0; j < tr.N(); j++ {
-		col := tr.ApproxColumn(tr.Gw, j)
+		col := approxColumn(tr, tr.Gw, j)
 		for i := range col {
 			if d := math.Abs(col[i]-g.At(i, j)) / scale; d > worst {
 				worst = d
@@ -227,7 +235,7 @@ func TestQMatrixAndReorderedGw(t *testing.T) {
 	if len(order) != tr.N() {
 		t.Fatalf("column order length %d", len(order))
 	}
-	perm := tr.GwReordered(tr.Gw)
+	perm := tr.Gw.Permute(order)
 	if perm.NNZ() != tr.Gw.NNZ() {
 		t.Fatalf("reorder changed nnz: %d vs %d", perm.NNZ(), tr.Gw.NNZ())
 	}
@@ -245,7 +253,7 @@ func TestThresholdedAccuracy(t *testing.T) {
 	// fraction (thesis Table 4.2: ~1%; we allow some slack).
 	bad, total := 0, 0
 	for j := 0; j < tr.N(); j++ {
-		col := tr.ApproxColumn(gwt, j)
+		col := approxColumn(tr, gwt, j)
 		for i := range col {
 			exact := g.At(i, j)
 			total++

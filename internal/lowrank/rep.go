@@ -98,8 +98,9 @@ type squareData struct {
 	V  *la.Dense // n_s × c_s row basis (orthonormal columns)
 	R  *la.Dense // n_{P_s} × c_s responses (G_{Ps,s}·V_s)^(r)
 
-	pContacts []int       // row ordering of R: contacts of P_s
-	pIndex    map[int]int // contact id → row of R
+	pContacts []int                    // row ordering of R: contacts of P_s
+	pIndex    map[int]int              // contact id → row of R
+	pRow      map[*quadtree.Square]int // square of P_s → its first row of R
 
 	// Finest level only:
 	W         *la.Dense // orthogonal complement of V_s in the square
@@ -134,18 +135,23 @@ func restrict(y []float64, contacts []int) []float64 {
 	return out
 }
 
-// rowsFor extracts the rows of sd.R corresponding to the given contacts
-// (which must all lie in P_s).
-func (sd *squareData) rowsFor(contacts []int) *la.Dense {
-	out := la.NewDense(len(contacts), sd.R.Cols)
-	for i, c := range contacts {
-		row, ok := sd.pIndex[c]
-		if !ok {
-			panic(fmt.Sprintf("lowrank: contact %d not in P_s of square (%d,%d,l%d)", c, sd.sq.I, sd.sq.J, sd.sq.Level))
-		}
-		copy(out.Row(i), sd.R.Row(row))
+// rowsFor returns the rows of sd.R at q's contacts, which must lie in P_s.
+// R's rows follow P_s square by square, so they are one block, returned in
+// place.
+func (sd *squareData) rowsFor(q *quadtree.Square) *la.Dense {
+	row, ok := sd.pRow[q]
+	if !ok {
+		panic(fmt.Sprintf("lowrank: square (%d,%d,l%d) not in P_s of square (%d,%d,l%d)",
+			q.I, q.J, q.Level, sd.sq.I, sd.sq.J, sd.sq.Level))
 	}
-	return out
+	return sd.rowBlock(row, len(q.Contacts))
+}
+
+// rowBlock returns rows [row, row+n) of sd.R as a view sharing its storage.
+// Rows [0, len(L_s contacts)) are L_s's, since P_s lists L_s first.
+func (sd *squareData) rowBlock(row, n int) *la.Dense {
+	c := sd.R.Cols
+	return la.NewDenseFrom(n, c, sd.R.Data[row*c:(row+n)*c])
 }
 
 // approxGds evaluates the (4.16) approximation of G_{d,s}·x for interactive
@@ -157,7 +163,7 @@ func (sd *squareData) rowsFor(contacts []int) *la.Dense {
 // 4.7).
 func (r *Rep) approxGds(d, s *squareData, x []float64) []float64 {
 	coef := s.V.MulVecT(x)
-	out := s.rowsFor(d.sq.Contacts).MulVec(coef)
+	out := s.rowsFor(d.sq).MulVec(coef)
 	if !r.Opt.Refine {
 		return out
 	}
@@ -165,7 +171,7 @@ func (r *Rep) approxGds(d, s *squareData, x []float64) []float64 {
 	copy(o, x)
 	back := s.V.MulVec(coef)
 	la.Axpy(-1, back, o)
-	alpha := d.rowsFor(s.sq.Contacts).MulVecT(o)
+	alpha := d.rowsFor(s.sq).MulVecT(o)
 	t2 := d.V.MulVec(alpha)
 	la.Axpy(1, t2, out)
 	return out
@@ -203,8 +209,11 @@ func Build(layout *geom.Layout, tree *quadtree.Tree, s solver.Solver, opt Option
 			if len(sq.Contacts) == 0 {
 				continue
 			}
-			sd := &squareData{sq: sq}
-			sd.pContacts = quadtree.ContactsOf(tree.Proximity(sq))
+			sd := &squareData{sq: sq, pRow: map[*quadtree.Square]int{}}
+			for _, q := range tree.Proximity(sq) {
+				sd.pRow[q] = len(sd.pContacts)
+				sd.pContacts = append(sd.pContacts, q.Contacts...)
+			}
 			sd.pIndex = make(map[int]int, len(sd.pContacts))
 			for i, c := range sd.pContacts {
 				sd.pIndex[c] = i
@@ -531,7 +540,7 @@ func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
 				t := raw
 				if r.Opt.Refine {
 					// (4.24): V_q((G_pq V_q)ᵀo) + raw − V_q(V_qᵀ raw).
-					alpha := q.rowsFor(sp.par.sq.Contacts).MulVecT(sp.o)
+					alpha := q.rowsFor(sp.par.sq).MulVecT(sp.o)
 					beta := q.V.MulVecT(raw)
 					la.Axpy(-1, beta, alpha)
 					corr := q.V.MulVec(alpha)
@@ -655,7 +664,7 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 				t := raw
 				q := r.at(L, qsq.ID)
 				if r.Opt.Refine && q != nil {
-					alpha := q.rowsFor(sd.sq.Contacts).MulVecT(w)
+					alpha := q.rowsFor(sd.sq).MulVecT(w)
 					beta := q.V.MulVecT(raw)
 					la.Axpy(-1, beta, alpha)
 					corr := q.V.MulVec(alpha)
@@ -674,7 +683,7 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 		if sd == nil {
 			return
 		}
-		rv := sd.rowsFor(sd.lContacts) // (G_{Ls,s}V_s)^(r)
+		rv := sd.rowBlock(0, len(sd.lContacts)) // (G_{Ls,s}V_s)^(r)
 		sd.GL = la.Mul(rv, sd.V.T())
 		if sd.W.Cols > 0 {
 			sd.GL = la.Add(sd.GL, la.Mul(sd.GLW, sd.W.T()))

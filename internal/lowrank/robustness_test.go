@@ -30,8 +30,8 @@ func buildAndCheck(t *testing.T, layout *geom.Layout, maxLevel int, maxErr float
 		t.Fatal(err)
 	}
 	tr := rep.Transform()
-	if len(tr.Cols) != layout.N() {
-		t.Fatalf("Q has %d columns for %d contacts", len(tr.Cols), layout.N())
+	if tr.Columns.Len() != layout.N() {
+		t.Fatalf("Q has %d columns for %d contacts", tr.Columns.Len(), layout.N())
 	}
 	// Spot-check orthogonality.
 	n := layout.N()
@@ -52,7 +52,7 @@ func buildAndCheck(t *testing.T, layout *geom.Layout, maxLevel int, maxErr float
 		x[i] = math.Sin(float64(3*i + 1))
 	}
 	want := g.MulVec(x)
-	got := tr.Apply(tr.Gw, x)
+	got := tr.Columns.Apply(tr.Gw, x)
 	diff := make([]float64, n)
 	for i := range diff {
 		diff[i] = got[i] - want[i]

@@ -7,40 +7,19 @@ import (
 	"subcouple/internal/sparse"
 )
 
-// ColKind distinguishes Q columns of the low-rank transform.
-type ColKind int
-
-const (
-	// ColT is a fast-decaying basis vector.
-	ColT ColKind = iota
-	// ColU is a coarsest-level (level 2) slow-decaying basis vector.
-	ColU
-)
-
-// ColInfo describes one Q column.
-type ColInfo struct {
-	Kind   ColKind
-	Level  int
-	Square *quadtree.Square
-	M      int
-}
-
-type entry struct {
-	row int
-	val float64
-}
-
 // Transformed is the phase-2 output: G ≈ Q·Gw·Qᵀ with orthogonal sparse Q
 // (fast-decaying T columns on every level plus the level-2 slow-decaying U
 // columns) and sparse Gw.
 type Transformed struct {
-	Rep  *Rep
-	Cols []ColInfo
-	Gw   *sparse.Matrix
+	Rep *Rep
+	Gw  *sparse.Matrix
+	// Columns holds Q: the T columns level by level from fine to coarse,
+	// then the level-2 U columns. A model shares it, so it is held apart
+	// from the sweep state that would otherwise stay reachable.
+	Columns *sparse.Columns
 
-	colVecs [][]entry
-	tCols   [][][]int // [level][squareID] → global column indices of T block
-	uCols   []int     // level-2 U column indices
+	tCols [][][]int // [level][squareID] → global column indices of T block
+	uCols []int     // level-2 U column indices
 	// sweepStates[level] holds the per-square sweep data (T/U/D) captured
 	// as the upward sweep passes each level; Gw assembly reads it.
 	sweepStates []map[int]*sweepSquare
@@ -53,6 +32,7 @@ type sweepSquare struct {
 	D         *la.Dense // responses of [T U] columns at local contacts
 	lContacts []int
 	lIndex    map[int]int
+	uBase     int // level 2 only: global index of the first U column
 
 	// Telemetry captured by buildParent (observability only): the chosen
 	// recombination rank and the head of the singular-value spectrum.
@@ -65,7 +45,7 @@ type sweepSquare struct {
 func (r *Rep) Transform() *Transformed {
 	stopSweep := r.Opt.Metrics.Phase("lowrank/sweep")
 	swp := r.Opt.Trace.Begin("lowrank/sweep")
-	tr := &Transformed{Rep: r}
+	tr := &Transformed{Rep: r, Columns: &sparse.Columns{}}
 	L := r.Tree.MaxLevel
 	tr.tCols = make([][][]int, L+1)
 	for lev := 2; lev <= L; lev++ {
@@ -87,7 +67,7 @@ func (r *Rep) Transform() *Transformed {
 		for m := 0; m < sd.W.Cols; m++ {
 			ss.D.SetCol(m, sd.GLW.Col(m))
 		}
-		rv := sd.rowsFor(sd.lContacts)
+		rv := sd.rowBlock(0, nl)
 		for m := 0; m < sd.V.Cols; m++ {
 			ss.D.SetCol(sd.W.Cols+m, rv.Col(m))
 		}
@@ -131,11 +111,10 @@ func (r *Rep) Transform() *Transformed {
 		if ss == nil {
 			continue
 		}
+		ss.uBase = tr.Columns.Len()
 		for m := 0; m < ss.U.Cols; m++ {
-			idx := len(tr.Cols)
-			tr.Cols = append(tr.Cols, ColInfo{Kind: ColU, Level: 2, Square: sq, M: m})
-			tr.colVecs = append(tr.colVecs, colEntries(sq.Contacts, ss.U, m))
-			tr.uCols = append(tr.uCols, idx)
+			tr.uCols = append(tr.uCols, tr.Columns.Len())
+			tr.Columns.Append(sq.Contacts, ss.U.Col(m))
 		}
 	}
 
@@ -161,10 +140,8 @@ func (tr *Transformed) recordT(lev int, state map[int]*sweepSquare) {
 			continue
 		}
 		for m := 0; m < ss.T.Cols; m++ {
-			idx := len(tr.Cols)
-			tr.Cols = append(tr.Cols, ColInfo{Kind: ColT, Level: lev, Square: sq, M: m})
-			tr.colVecs = append(tr.colVecs, colEntries(sq.Contacts, ss.T, m))
-			tr.tCols[lev][sq.ID] = append(tr.tCols[lev][sq.ID], idx)
+			tr.tCols[lev][sq.ID] = append(tr.tCols[lev][sq.ID], tr.Columns.Len())
+			tr.Columns.Append(sq.Contacts, ss.T.Col(m))
 		}
 	}
 }
@@ -302,14 +279,4 @@ func indexOf(contacts []int) map[int]int {
 		m[c] = i
 	}
 	return m
-}
-
-func colEntries(contacts []int, m *la.Dense, col int) []entry {
-	var es []entry
-	for i, c := range contacts {
-		if v := m.At(i, col); v != 0 {
-			es = append(es, entry{c, v})
-		}
-	}
-	return es
 }

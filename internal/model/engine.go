@@ -254,8 +254,8 @@ func (e *Engine) QColumnInto(dst []float64, j int) {
 
 // applyInto runs the three-stage operator u = Qᵀx, w = Gw·u, dst = Q·w on
 // the given scratch. The loop order in each stage replicates the in-memory
-// extraction representations exactly (lowrank.Transformed.Apply's column
-// loops; wavelet.FactoredQ's level chain), which is what makes decoded
+// extraction representations exactly (sparse.Columns.Apply's column loops;
+// wavelet.FactoredQ's level chain), which is what makes decoded
 // artifacts bitwise-identical to the live result.
 func (e *Engine) applyInto(sc *scratch, dst []float64, gw *sparse.Matrix, x []float64) {
 	if len(x) != e.m.N || len(dst) != e.m.N {

@@ -40,15 +40,11 @@ const (
 	QFactored QKind = 2
 )
 
-// Columns is Q in compressed sparse column layout: column c's nonzeros are
-// RowIdx/Val[ColPtr[c]:ColPtr[c+1]], in the exact entry order the extraction
-// produced (the apply loops preserve it, keeping outputs bitwise identical
-// to the in-memory representation).
-type Columns struct {
-	ColPtr []int
-	RowIdx []int
-	Val    []float64
-}
+// Columns is Q in compressed sparse column layout: the low-rank method's
+// own sparse.Columns, stored as extraction built it. The apply loops visit
+// each column's entries in that order, keeping outputs bitwise identical to
+// the in-memory representation.
+type Columns = sparse.Columns
 
 // Block is one dense block of a factored level: out[Out] = M · in[In] with M
 // the Rows×Cols row-major matrix in Data.
@@ -112,7 +108,7 @@ func (m *Model) Validate() error {
 		if m.Cols == nil {
 			return fmt.Errorf("model: QColumns kind without columns")
 		}
-		if err := m.Cols.validate(m.N); err != nil {
+		if err := validateColumns(m.Cols, m.N); err != nil {
 			return err
 		}
 	case QFactored:
@@ -161,7 +157,7 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-func (c *Columns) validate(n int) error {
+func validateColumns(c *Columns, n int) error {
 	if len(c.ColPtr) != n+1 || c.ColPtr[0] != 0 {
 		return fmt.Errorf("model: columns ColPtr malformed")
 	}
@@ -277,17 +273,7 @@ func (m *Model) GwReordered(thresholded bool) *sparse.Matrix {
 		}
 		gw = m.Gwt
 	}
-	pos := make([]int, len(m.Order))
-	for newIdx, oldIdx := range m.Order {
-		pos[oldIdx] = newIdx
-	}
-	var ts []sparse.Triplet
-	for r := 0; r < gw.Rows; r++ {
-		for k := gw.RowPtr[r]; k < gw.RowPtr[r+1]; k++ {
-			ts = append(ts, sparse.Triplet{Row: pos[r], Col: pos[gw.ColIdx[k]], Val: gw.Val[k]})
-		}
-	}
-	return sparse.FromTriplets(gw.Rows, gw.Cols, ts)
+	return gw.Permute(m.Order)
 }
 
 // Q materializes the sparse change-of-basis matrix in the presentation
@@ -295,23 +281,17 @@ func (m *Model) GwReordered(thresholded bool) *sparse.Matrix {
 // QFactored each column is the factor chain applied to a unit vector (exact
 // zeros outside the column's square support are dropped).
 func (m *Model) Q() *sparse.Matrix {
+	if m.Kind == QColumns {
+		return m.Cols.Matrix(m.N, m.Order)
+	}
 	var ts []sparse.Triplet
-	switch m.Kind {
-	case QColumns:
-		for newIdx, oldIdx := range m.Order {
-			for k := m.Cols.ColPtr[oldIdx]; k < m.Cols.ColPtr[oldIdx+1]; k++ {
-				ts = append(ts, sparse.Triplet{Row: m.Cols.RowIdx[k], Col: newIdx, Val: m.Cols.Val[k]})
-			}
-		}
-	case QFactored:
-		e := NewEngine(m)
-		col := make([]float64, m.N)
-		for newIdx, oldIdx := range m.Order {
-			e.QColumnInto(col, oldIdx)
-			for r, v := range col {
-				if v != 0 {
-					ts = append(ts, sparse.Triplet{Row: r, Col: newIdx, Val: v})
-				}
+	e := NewEngine(m)
+	col := make([]float64, m.N)
+	for newIdx, oldIdx := range m.Order {
+		e.QColumnInto(col, oldIdx)
+		for r, v := range col {
+			if v != 0 {
+				ts = append(ts, sparse.Triplet{Row: r, Col: newIdx, Val: v})
 			}
 		}
 	}

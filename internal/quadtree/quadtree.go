@@ -8,6 +8,7 @@ package quadtree
 
 import (
 	"fmt"
+	"slices"
 
 	"subcouple/internal/geom"
 )
@@ -192,6 +193,27 @@ func (t *Tree) Interactive(s *Square) []*Square {
 func (t *Tree) Proximity(s *Square) []*Square {
 	out := t.Local(s)
 	out = append(out, t.Interactive(s)...)
+	return out
+}
+
+// LocalColumns returns, sorted, the entries table[q.Level][q.ID] of every
+// square q in L_s and of all of q's descendants. With table listing the
+// basis columns each square contributes, these are the columns whose
+// ancestor at s's level is local to s: the targets the locality pattern
+// keeps for s's own columns (thesis §3.5 and §4.4.1).
+func (t *Tree) LocalColumns(s *Square, table [][][]int) []int {
+	var out []int
+	var rec func(q *Square)
+	rec = func(q *Square) {
+		out = append(out, table[q.Level][q.ID]...)
+		for _, c := range t.Children(q) {
+			rec(c)
+		}
+	}
+	for _, q := range t.Local(s) {
+		rec(q)
+	}
+	slices.Sort(out)
 	return out
 }
 

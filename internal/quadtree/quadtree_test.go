@@ -1,6 +1,7 @@
 package quadtree
 
 import (
+	"slices"
 	"testing"
 
 	"subcouple/internal/geom"
@@ -209,5 +210,42 @@ func TestContactsOf(t *testing.T) {
 	all := ContactsOf(tree.SquaresAt(2))
 	if len(all) != 256 {
 		t.Fatalf("ContactsOf all level-2 squares = %d", len(all))
+	}
+}
+
+// TestLocalColumnsMatchesBruteForce checks LocalColumns against a direct
+// enumeration: every square at s's level or finer whose ancestor at s's
+// level lies within one square of s, in both directions.
+func TestLocalColumnsMatchesBruteForce(t *testing.T) {
+	tree := buildTestTree(t, 3)
+	// Give each square a distinct, sometimes empty, list of column ids.
+	table := make([][][]int, tree.MaxLevel+1)
+	next := 0
+	for lev := 0; lev <= tree.MaxLevel; lev++ {
+		table[lev] = make([][]int, len(tree.SquaresAt(lev)))
+		for _, q := range tree.SquaresAt(lev) {
+			for k := 0; k < (q.ID+lev)%3; k++ {
+				table[lev][q.ID] = append(table[lev][q.ID], next)
+				next++
+			}
+		}
+	}
+	for lev := 0; lev <= tree.MaxLevel; lev++ {
+		for _, s := range tree.SquaresAt(lev) {
+			var want []int
+			for l := lev; l <= tree.MaxLevel; l++ {
+				shift := uint(l - lev)
+				for _, q := range tree.SquaresAt(l) {
+					di, dj := q.I>>shift-s.I, q.J>>shift-s.J
+					if di >= -1 && di <= 1 && dj >= -1 && dj <= 1 {
+						want = append(want, table[l][q.ID]...)
+					}
+				}
+			}
+			slices.Sort(want)
+			if got := tree.LocalColumns(s, table); !slices.Equal(got, want) {
+				t.Fatalf("LocalColumns(level %d, %d,%d) = %v, want %v", lev, s.I, s.J, got, want)
+			}
+		}
 	}
 }

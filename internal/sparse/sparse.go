@@ -1,7 +1,9 @@
-// Package sparse provides the compressed sparse row matrices used for the
-// change-of-basis matrix Q and the transformed conductance matrix Gw
-// (G ≈ Q·Gw·Qᵀ), plus thresholding — the "drop small entries of Gw" step
-// that trades accuracy for sparsity in both sparsification algorithms.
+// Package sparse holds the sparse forms both sparsification methods build
+// for G ≈ Q·Gw·Qᵀ: the compressed sparse row Matrix (Gw, and Q for spy
+// plots), the column store Columns that holds Q column by column, the
+// symmetric assembler SymSet that collects Gw's kept entries, and
+// thresholding — the "drop small entries of Gw" step that trades accuracy
+// for sparsity.
 package sparse
 
 import (
@@ -232,8 +234,9 @@ func (m *Matrix) ThresholdForSparsity(target float64) *Matrix {
 }
 
 // At returns entry (r,c), or zero when not stored. Every constructor
-// (FromTriplets, Threshold, ThresholdForSparsity, Symmetrize) emits column
-// indices sorted within each row, so the lookup is a binary search.
+// (FromTriplets, SymSet.Matrix, Threshold, ThresholdForSparsity, Permute)
+// emits column indices sorted within each row, so the lookup is a binary
+// search.
 func (m *Matrix) At(r, c int) float64 {
 	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
 	row := m.ColIdx[lo:hi]
@@ -244,17 +247,21 @@ func (m *Matrix) At(r, c int) float64 {
 	return 0
 }
 
-// Symmetrize returns (m + mᵀ)/2; useful after extraction procedures that
-// fill the two triangles from different approximations.
-func (m *Matrix) Symmetrize() *Matrix {
-	if m.Rows != m.Cols {
-		panic("sparse: Symmetrize requires a square matrix")
+// Permute returns the matrix with its rows and columns both reordered by
+// order (old index per new position): entry (order[a], order[b]) moves to
+// (a, b). The spy plots show Gw this way, in Q's presentation order.
+func (m *Matrix) Permute(order []int) *Matrix {
+	if m.Rows != m.Cols || len(order) != m.Rows {
+		panic(fmt.Sprintf("sparse: Permute of a %dx%d matrix by %d indices", m.Rows, m.Cols, len(order)))
 	}
-	var ts []Triplet
+	pos := make([]int, len(order))
+	for newIdx, oldIdx := range order {
+		pos[oldIdx] = newIdx
+	}
+	ts := make([]Triplet, 0, m.NNZ())
 	for r := 0; r < m.Rows; r++ {
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			ts = append(ts, Triplet{r, m.ColIdx[k], m.Val[k] / 2})
-			ts = append(ts, Triplet{m.ColIdx[k], r, m.Val[k] / 2})
+			ts = append(ts, Triplet{Row: pos[r], Col: pos[m.ColIdx[k]], Val: m.Val[k]})
 		}
 	}
 	return FromTriplets(m.Rows, m.Cols, ts)

@@ -179,14 +179,6 @@ func TestThresholdForSparsityTies(t *testing.T) {
 	}
 }
 
-func TestSymmetrize(t *testing.T) {
-	m := FromTriplets(2, 2, []Triplet{{0, 1, 2}})
-	s := m.Symmetrize()
-	if s.At(0, 1) != 1 || s.At(1, 0) != 1 {
-		t.Fatalf("Symmetrize wrong: %g %g", s.At(0, 1), s.At(1, 0))
-	}
-}
-
 func TestSparsityAndMaxAbs(t *testing.T) {
 	m := FromTriplets(4, 4, []Triplet{{0, 0, -7}, {1, 1, 2}})
 	if m.Sparsity() != 8 {
@@ -235,7 +227,12 @@ func TestConstructorsPreserveSortedColumns(t *testing.T) {
 	sortedRows(t, "FromTriplets", m)
 	sortedRows(t, "Threshold", m.Threshold(1.0))
 	sortedRows(t, "ThresholdForSparsity", m.ThresholdForSparsity(4))
-	sortedRows(t, "Symmetrize", m.Symmetrize())
+	sortedRows(t, "Permute", m.Permute(rng.Perm(n)))
+	set := NewSymSet(n)
+	for _, tr := range ts {
+		set.Put(tr.Row, tr.Col, tr.Val)
+	}
+	sortedRows(t, "SymSet.Matrix", set.Matrix())
 
 	// At agrees with a linear scan everywhere (stored and unstored entries).
 	for i := 0; i < n; i++ {

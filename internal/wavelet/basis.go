@@ -14,7 +14,6 @@ package wavelet
 
 import (
 	"fmt"
-	"sort"
 
 	"subcouple/internal/geom"
 	"subcouple/internal/la"
@@ -43,12 +42,6 @@ type ColInfo struct {
 	M      int // index within the square's W (or root V) block
 }
 
-// entry is one nonzero of a Q column.
-type entry struct {
-	row int
-	val float64
-}
-
 // Basis is the constructed multilevel wavelet basis.
 type Basis struct {
 	Layout  *geom.Layout
@@ -56,14 +49,13 @@ type Basis struct {
 	P       int // moment order
 	RankTol float64
 
+	// Cols describes Q's columns and Columns holds their entries.
 	Cols    []ColInfo
-	colVecs [][]entry
+	Columns *sparse.Columns
 	// wCols[level][squareID] lists global column indices of that square's
 	// W block, in order.
-	wCols    [][][]int
-	rootV    []int // global column indices of the level-0 V block
-	maxWAt   []int // max W-block size per level
-	droppedV int   // diagnostic: V columns surviving to level 0
+	wCols [][][]int
+	rootV []int // global column indices of the level-0 V block
 
 	// Construction data retained for the O(n) factored form (§3.4.3):
 	// per-finest-square full bases [V_s W_s], per-coarse-square
@@ -105,12 +97,11 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, ms *o
 	if p < 0 {
 		return nil, fmt.Errorf("wavelet: moment order must be >= 0")
 	}
-	b := &Basis{Layout: layout, Tree: tree, P: p, RankTol: 1e-9,
+	b := &Basis{Layout: layout, Tree: tree, P: p, RankTol: 1e-9, Columns: &sparse.Columns{},
 		facFinest: map[int]*la.Dense{}, facCoarse: map[int]*la.Dense{}, facVCols: map[int]int{}, ms: ms, tr: tr}
 	vRank := ms.Rank("wavelet/v_rank")
 	L := tree.MaxLevel
 	b.wCols = make([][][]int, L+1)
-	b.maxWAt = make([]int, L+1)
 	for lev := 0; lev <= L; lev++ {
 		b.wCols[lev] = make([][]int, len(tree.SquaresAt(lev)))
 	}
@@ -242,18 +233,10 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, ms *o
 	if v := vBasis[0]; v != nil {
 		root := tree.At(0, 0, 0)
 		for j := 0; j < v.Cols; j++ {
-			idx := len(b.Cols)
+			b.rootV = append(b.rootV, len(b.Cols))
 			b.Cols = append(b.Cols, ColInfo{Kind: ColV, Level: 0, Square: root, M: j})
-			var es []entry
-			for r, ci := range root.Contacts {
-				if x := v.At(r, j); x != 0 {
-					es = append(es, entry{ci, x})
-				}
-			}
-			b.colVecs = append(b.colVecs, es)
-			b.rootV = append(b.rootV, idx)
+			b.Columns.Append(root.Contacts, v.Col(j))
 		}
-		b.droppedV = v.Cols
 	}
 
 	if len(b.Cols) != layout.N() {
@@ -266,19 +249,9 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, ms *o
 // global Q columns.
 func (b *Basis) appendW(s *quadtree.Square, w *la.Dense, contacts []int) {
 	for j := 0; j < w.Cols; j++ {
-		idx := len(b.Cols)
+		b.wCols[s.Level][s.ID] = append(b.wCols[s.Level][s.ID], len(b.Cols))
 		b.Cols = append(b.Cols, ColInfo{Kind: ColW, Level: s.Level, Square: s, M: j})
-		var es []entry
-		for r, ci := range contacts {
-			if x := w.At(r, j); x != 0 {
-				es = append(es, entry{ci, x})
-			}
-		}
-		b.colVecs = append(b.colVecs, es)
-		b.wCols[s.Level][s.ID] = append(b.wCols[s.Level][s.ID], idx)
-	}
-	if n := len(b.wCols[s.Level][s.ID]); n > b.maxWAt[s.Level] {
-		b.maxWAt[s.Level] = n
+		b.Columns.Append(contacts, w.Col(j))
 	}
 }
 
@@ -289,16 +262,7 @@ func (b *Basis) N() int { return len(b.Cols) }
 // columns are ordered: level-0 V block first, then W blocks level by level
 // from coarse to fine, squares in quadrant-hierarchical order within each
 // level (the thesis's spy-plot ordering, §3.7.1).
-func (b *Basis) Q() *sparse.Matrix {
-	order := b.ColumnOrder()
-	var ts []sparse.Triplet
-	for newIdx, oldIdx := range order {
-		for _, e := range b.colVecs[oldIdx] {
-			ts = append(ts, sparse.Triplet{Row: e.row, Col: newIdx, Val: e.val})
-		}
-	}
-	return sparse.FromTriplets(b.N(), b.N(), ts)
-}
+func (b *Basis) Q() *sparse.Matrix { return b.Columns.Matrix(b.N(), b.ColumnOrder()) }
 
 // ColumnOrder returns the presentation ordering of columns (old index per
 // new position): root V, then W per level in quadrant-hierarchical square
@@ -314,45 +278,8 @@ func (b *Basis) ColumnOrder() []int {
 	return order
 }
 
-// colDot returns the inner product of Q column idx with a dense vector.
-func (b *Basis) colDot(idx int, y []float64) float64 {
-	var s float64
-	for _, e := range b.colVecs[idx] {
-		s += e.val * y[e.row]
-	}
-	return s
-}
-
-// colAdd accumulates Q column idx (scaled) into a dense vector.
-func (b *Basis) colAdd(idx int, scale float64, y []float64) {
-	for _, e := range b.colVecs[idx] {
-		y[e.row] += scale * e.val
-	}
-}
-
 // ColVector materializes Q column idx as a dense length-n vector.
-func (b *Basis) ColVector(idx int) []float64 {
-	v := make([]float64, b.N())
-	b.colAdd(idx, 1, v)
-	return v
-}
-
-// localAtLevel reports whether column j's square, seen from level lev,
-// is local to square s at level lev (i.e. the ancestor of col j's square at
-// lev is s or a neighbor of s). Requires col j's level >= lev.
-func (b *Basis) localAtLevel(j int, s *quadtree.Square, lev int) bool {
-	cs := b.Cols[j].Square
-	shift := uint(cs.Level - lev)
-	ai, aj := cs.I>>shift, cs.J>>shift
-	di, dj := ai-s.I, aj-s.J
-	if di < 0 {
-		di = -di
-	}
-	if dj < 0 {
-		dj = -dj
-	}
-	return di <= 1 && dj <= 1
-}
+func (b *Basis) ColVector(idx int) []float64 { return b.Columns.Vector(idx, b.N()) }
 
 // keptPairs enumerates the (i, j) index pairs of Gw entries that the §3.5
 // locality assumption keeps, with i's level <= j's level and root-V columns
@@ -373,7 +300,7 @@ func (b *Basis) keptPairs(emit func(i, j int)) {
 			if len(cols) == 0 {
 				continue
 			}
-			targets := b.targetColumns(s, lev)
+			targets := b.Tree.LocalColumns(s, b.wCols)
 			for _, ci := range cols {
 				for _, tj := range targets {
 					emit(ci, tj)
@@ -381,22 +308,4 @@ func (b *Basis) keptPairs(emit func(i, j int)) {
 			}
 		}
 	}
-}
-
-// targetColumns lists all W columns at levels >= lev whose level-lev
-// ancestor square is local to s.
-func (b *Basis) targetColumns(s *quadtree.Square, lev int) []int {
-	var out []int
-	for _, q := range b.Tree.Local(s) {
-		var rec func(sq *quadtree.Square)
-		rec = func(sq *quadtree.Square) {
-			out = append(out, b.wCols[sq.Level][sq.ID]...)
-			for _, c := range b.Tree.Children(sq) {
-				rec(c)
-			}
-		}
-		rec(q)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -10,27 +10,6 @@ import (
 	"subcouple/internal/sparse"
 )
 
-// entryMap accumulates Gw entries with set (not sum) semantics.
-type entryMap struct {
-	n int
-	m map[int64]float64
-}
-
-func newEntryMap(n int) *entryMap { return &entryMap{n: n, m: make(map[int64]float64)} }
-
-func (e *entryMap) put(i, j int, v float64) {
-	e.m[int64(i)*int64(e.n)+int64(j)] = v
-	e.m[int64(j)*int64(e.n)+int64(i)] = v
-}
-
-func (e *entryMap) matrix() *sparse.Matrix {
-	ts := make([]sparse.Triplet, 0, len(e.m))
-	for k, v := range e.m {
-		ts = append(ts, sparse.Triplet{Row: int(k / int64(e.n)), Col: int(k % int64(e.n)), Val: v})
-	}
-	return sparse.FromTriplets(e.n, e.n, ts)
-}
-
 // ExtractCombined extracts Gws = (QᵀGQ restricted to the §3.5 locality
 // pattern) using the combine-solves technique: root-V and level-0/1 W
 // columns are solved directly; on each level >= 2 the W columns of squares
@@ -44,7 +23,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	defer b.ms.Phase("wavelet/extract")()
 	xsp := b.tr.Begin("wavelet/extract_combined").Arg("n", b.N())
 	defer xsp.End()
-	em := newEntryMap(b.N())
+	gw := sparse.NewSymSet(b.N())
 
 	// Every black-box call of the algorithm is independent of every other,
 	// so the whole schedule — direct solves plus all combine-solves on all
@@ -70,7 +49,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	// Combine-solves on levels 2..L (eq. 3.24): squares of a (i mod 3,
 	// j mod 3) class are far enough apart to share one solve. Classes are
 	// visited in sorted key order — Go map iteration is randomized, and the
-	// set semantics of entryMap make the overlap entries of symmetric pairs
+	// set semantics of SymSet make the overlap entries of symmetric pairs
 	// order-sensitive, so a fixed order is required for reproducibility.
 	type combined struct {
 		lev, m       int
@@ -113,7 +92,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 				for _, sq := range members {
 					cols := b.wCols[lev][sq.ID]
 					if m < len(cols) {
-						b.colAdd(cols[m], 1, theta)
+						b.Columns.AddTo(cols[m], 1, theta)
 						contributors = append(contributors, sq)
 					}
 				}
@@ -138,20 +117,20 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	for k, cj := range direct {
 		y := ys[k]
 		for ci := range b.Cols {
-			em.put(ci, cj, b.colDot(ci, y))
+			gw.Put(ci, cj, b.Columns.Dot(ci, y))
 		}
 	}
 	for k, cb := range combs {
 		y := ys[len(direct)+k]
 		for _, sq := range cb.contributors {
 			cj := b.wCols[cb.lev][sq.ID][cb.m]
-			for _, ti := range b.targetColumns(sq, cb.lev) {
-				em.put(ti, cj, b.colDot(ti, y))
+			for _, ti := range b.Tree.LocalColumns(sq, b.wCols) {
+				gw.Put(ti, cj, b.Columns.Dot(ti, y))
 			}
 		}
 	}
 	ssp.End()
-	return em.matrix(), nil
+	return gw.Matrix(), nil
 }
 
 // ExtractDirect extracts the same locality-restricted Gws but with one
@@ -184,11 +163,11 @@ func (b *Basis) ExtractDirect(s solver.Solver) (*sparse.Matrix, error) {
 		}
 		copy(resp[base:end], ys)
 	}
-	em := newEntryMap(n)
+	gw := sparse.NewSymSet(n)
 	b.keptPairs(func(i, j int) {
-		em.put(i, j, b.colDot(i, resp[j]))
+		gw.Put(i, j, b.Columns.Dot(i, resp[j]))
 	})
-	return em.matrix(), nil
+	return gw.Matrix(), nil
 }
 
 // FullGw computes the complete dense Gw = QᵀGQ from an explicit G (used to
@@ -196,46 +175,17 @@ func (b *Basis) ExtractDirect(s solver.Solver) (*sparse.Matrix, error) {
 func (b *Basis) FullGw(g *la.Dense) *la.Dense {
 	n := b.N()
 	gq := la.NewDense(n, n) // G·Q
-	for j := 0; j < n; j++ {
-		for _, e := range b.colVecs[j] {
-			for i := 0; i < n; i++ {
-				gq.Data[i*n+j] += e.val * g.At(i, e.row)
-			}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			gq.Set(i, j, b.Columns.Dot(j, g.Row(i)))
 		}
 	}
 	out := la.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for _, e := range b.colVecs[i] {
-				sum += e.val * gq.At(e.row, j)
-			}
-			out.Set(i, j, sum)
+	for j := 0; j < n; j++ {
+		gqj := gq.Col(j)
+		for i := 0; i < n; i++ {
+			out.Set(i, j, b.Columns.Dot(i, gqj))
 		}
 	}
 	return out
-}
-
-// Apply computes Q·Gw·Qᵀ·x — the sparsified operator applied to contact
-// voltages.
-func (b *Basis) Apply(gw *sparse.Matrix, x []float64) []float64 {
-	u := make([]float64, b.N())
-	for c := range b.Cols {
-		u[c] = b.colDot(c, x)
-	}
-	w := gw.MulVec(u)
-	out := make([]float64, b.N())
-	for c, wc := range w {
-		if wc != 0 {
-			b.colAdd(c, wc, out)
-		}
-	}
-	return out
-}
-
-// ApproxColumn returns column j of Q·Gw·Qᵀ.
-func (b *Basis) ApproxColumn(gw *sparse.Matrix, j int) []float64 {
-	x := make([]float64, b.N())
-	x[j] = 1
-	return b.Apply(gw, x)
 }

@@ -34,7 +34,7 @@ func buildAndCheckWavelet(t *testing.T, layout *geom.Layout, maxLevel int, maxEr
 		x[i] = math.Cos(float64(2*i + 1))
 	}
 	want := g.MulVec(x)
-	got := b.Apply(gws, x)
+	got := b.Columns.Apply(gws, x)
 	diff := make([]float64, n)
 	for i := range diff {
 		diff[i] = got[i] - want[i]

@@ -10,6 +10,7 @@ import (
 	"subcouple/internal/moments"
 	"subcouple/internal/quadtree"
 	"subcouple/internal/solver"
+	"subcouple/internal/sparse"
 	"subcouple/internal/substrate"
 )
 
@@ -81,7 +82,7 @@ func TestBasisOrthogonal(t *testing.T) {
 		for i := 0; i < n; i++ {
 			vi := b.ColVector(i)
 			for j := i; j < n; j++ {
-				dot := b.colDot(j, vi)
+				dot := b.Columns.Dot(j, vi)
 				want := 0.0
 				if i == j {
 					want = 1.0
@@ -108,7 +109,7 @@ func TestBasisOrthogonalIrregular(t *testing.T) {
 	for i := 0; i < n; i += 7 {
 		vi := b.ColVector(i)
 		for j := 0; j < n; j++ {
-			dot := b.colDot(j, vi)
+			dot := b.Columns.Dot(j, vi)
 			want := 0.0
 			if i == j {
 				want = 1.0
@@ -292,7 +293,7 @@ func TestSparsifiedOperatorAccuracy(t *testing.T) {
 	scale := g.MaxAbs()
 	var worst float64
 	for j := 0; j < b.N(); j++ {
-		col := b.ApproxColumn(gws, j)
+		col := approxColumn(b, gws, j)
 		for i := range col {
 			if d := math.Abs(col[i]-g.At(i, j)) / scale; d > worst {
 				worst = d
@@ -302,6 +303,13 @@ func TestSparsifiedOperatorAccuracy(t *testing.T) {
 	if worst > 0.02 {
 		t.Fatalf("sparsified operator error %g too large", worst)
 	}
+}
+
+// approxColumn returns column j of Q·Gw·Qᵀ.
+func approxColumn(b *Basis, gw *sparse.Matrix, j int) []float64 {
+	x := make([]float64, b.N())
+	x[j] = 1
+	return b.Columns.Apply(gw, x)
 }
 
 func TestApplyMatchesApproxColumn(t *testing.T) {
@@ -315,11 +323,11 @@ func TestApplyMatchesApproxColumn(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(float64(i))
 	}
-	y := b.Apply(gws, x)
+	y := b.Columns.Apply(gws, x)
 	// Compare against summing columns.
 	want := make([]float64, b.N())
 	for j, xj := range x {
-		col := b.ApproxColumn(gws, j)
+		col := approxColumn(b, gws, j)
 		for i := range want {
 			want[i] += xj * col[i]
 		}
