@@ -55,7 +55,7 @@ func (c *Columns) Vector(j, n int) []float64 {
 
 // Matrix returns the n-row CSR matrix whose column k is column order[k].
 func (c *Columns) Matrix(n int, order []int) *Matrix {
-	var ts []Triplet
+	ts := make([]Triplet, 0, len(c.Val))
 	for k, j := range order {
 		for p := c.ColPtr[j]; p < c.ColPtr[j+1]; p++ {
 			ts = append(ts, Triplet{Row: c.RowIdx[p], Col: k, Val: c.Val[p]})
