@@ -10,7 +10,7 @@
 // Usage:
 //
 //	benchreport [-short] [-reps 3] [-out BENCH_extract.json]
-//	benchreport -scaling [-short] [-max 4096] [-membudget N] [-out BENCH_scaling.json]
+//	benchreport -scaling [-short] [-max 4096] [-out BENCH_scaling.json]
 //	benchreport -check run.json   # validate a subx/tables -report file
 //	benchreport -diff -tol 0.15 old.json new.json   # perf-regression gate
 //
@@ -21,8 +21,7 @@
 // methods over regular/alternating grids up to -max contacts (default 4096;
 // 256 with -short; 10240 adds the Example 5 rung), writing per-point solves,
 // nnz, phase times, and peak memory plus fitted growth exponents to
-// BENCH_scaling.json. -membudget caps low-rank respond-batch memory in
-// bytes (0 = unbounded; outputs are bitwise identical either way).
+// BENCH_scaling.json.
 //
 // -diff compares two benchmark files and exits nonzero on regression; it
 // dispatches on the files' schema field, so it gates BENCH_extract.json and
@@ -92,7 +91,6 @@ func main() {
 	tol := flag.Float64("tol", 0.15, "with -diff: allowed fractional slowdown (extract) or absolute exponent drift (scaling) before failing")
 	scaling := flag.Bool("scaling", false, "run the paper-scale scaling ladder and write BENCH_scaling.json")
 	maxContacts := flag.Int("max", 0, "with -scaling: largest ladder rung in contacts (default 4096; 256 with -short; 10240 adds the Example 5 rung)")
-	memBudget := flag.Int64("membudget", 0, "with -scaling: low-rank respond-batch memory cap in bytes (0 = unbounded)")
 	flag.Parse()
 	log.SetFlags(log.Ltime)
 
@@ -124,7 +122,7 @@ func main() {
 		if dst == "" {
 			dst = "BENCH_scaling.json"
 		}
-		if err := runScaling(dst, *short, mx, *memBudget); err != nil {
+		if err := runScaling(dst, *short, mx); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -39,21 +39,20 @@ type scalingFit struct {
 
 // scalingFile is the whole BENCH_scaling.json document.
 type scalingFile struct {
-	Schema        string                     `json:"schema"`
-	GoVersion     string                     `json:"go_version"`
-	NumCPU        int                        `json:"num_cpu"`
-	Short         bool                       `json:"short"`
-	MaxContacts   int                        `json:"max_contacts"`
-	MaxBatchBytes int64                      `json:"max_batch_bytes,omitempty"`
-	Points        []experiments.ScalingPoint `json:"points"`
-	Fits          []scalingFit               `json:"fits"`
+	Schema      string                     `json:"schema"`
+	GoVersion   string                     `json:"go_version"`
+	NumCPU      int                        `json:"num_cpu"`
+	Short       bool                       `json:"short"`
+	MaxContacts int                        `json:"max_contacts"`
+	Points      []experiments.ScalingPoint `json:"points"`
+	Fits        []scalingFit               `json:"fits"`
 }
 
 // scalingMethods are the two extraction methods every rung runs.
 var scalingMethods = []core.Method{core.Wavelet, core.LowRank}
 
 // runScaling measures the ladder and writes the scaling document.
-func runScaling(out string, short bool, maxContacts int, memBudget int64) error {
+func runScaling(out string, short bool, maxContacts int) error {
 	ladder := experiments.ScalingLadder(maxContacts)
 	if len(ladder) == 0 {
 		return fmt.Errorf("scaling ladder is empty for max contacts %d", maxContacts)
@@ -62,7 +61,7 @@ func runScaling(out string, short bool, maxContacts int, memBudget int64) error 
 	for _, sc := range ladder {
 		g := experiments.SyntheticSolver(sc.Case) // built once, shared by both methods
 		for _, m := range scalingMethods {
-			p, err := experiments.RunScalingPoint(sc, g, m, memBudget)
+			p, err := experiments.RunScalingPoint(sc, g, m)
 			if err != nil {
 				return err
 			}
@@ -72,14 +71,13 @@ func runScaling(out string, short bool, maxContacts int, memBudget int64) error 
 		}
 	}
 	doc := scalingFile{
-		Schema:        scalingSchema,
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		Short:         short,
-		MaxContacts:   maxContacts,
-		MaxBatchBytes: memBudget,
-		Points:        points,
-		Fits:          fitScaling(points),
+		Schema:      scalingSchema,
+		GoVersion:   runtime.Version(),
+		NumCPU:      runtime.NumCPU(),
+		Short:       short,
+		MaxContacts: maxContacts,
+		Points:      points,
+		Fits:        fitScaling(points),
 	}
 	for _, f := range doc.Fits {
 		if f.Metric == "seconds" {

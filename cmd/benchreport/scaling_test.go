@@ -167,7 +167,7 @@ func TestScalingRunMatchesCommitted(t *testing.T) {
 	for _, sc := range experiments.ScalingLadder(64) {
 		g := experiments.SyntheticSolver(sc.Case)
 		for _, m := range []core.Method{core.Wavelet, core.LowRank} {
-			p, err := experiments.RunScalingPoint(sc, g, m, 0)
+			p, err := experiments.RunScalingPoint(sc, g, m)
 			if err != nil {
 				t.Fatal(err)
 			}

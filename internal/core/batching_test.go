@@ -1,71 +1,46 @@
 package core_test
 
 import (
-	"runtime"
 	"testing"
 
 	"subcouple/internal/core"
 	"subcouple/internal/experiments"
-	"subcouple/internal/geom"
+	"subcouple/internal/obs"
 	"subcouple/internal/solver"
 )
 
-// TestLowRankBatchingBitwiseInvariant pins the memory-bounded respond
-// batching contract: MaxBatchBytes only caps how many right-hand sides are
-// in flight at once, so for every budget — including a 1-byte budget that
-// degenerates to one solve group per batch — the extracted Q/Gw/Gwt, the
-// solve count, and Apply outputs are bitwise identical to the unbounded
-// run, at every worker count. This is what lets the scaling harness (and
-// any memory-constrained caller) set a budget without invalidating the
-// committed deterministic solve/nnz numbers.
-func TestLowRankBatchingBitwiseInvariant(t *testing.T) {
-	nx := 32 // 1024 contacts
-	if testing.Short() {
-		nx = 16 // 256 contacts
-	}
-	raw := geom.AlternatingGrid(float64(nx*4), float64(nx*4), nx, nx, 1, 3)
-	layout, maxLevel := core.Prepare(raw, 6)
-	g := experiments.SyntheticG(layout)
-	probe := make([]float64, layout.N())
-	for i := range probe {
-		probe[i] = float64(i%5) - 2
-	}
-
-	extract := func(workers int, budget int64) *core.Result {
-		t.Helper()
-		res, err := core.Extract(solver.NewDense(g), layout, core.Options{
-			Method: core.LowRank, MaxLevel: maxLevel, ThresholdFactor: 6,
-			Workers: workers, MaxBatchBytes: budget,
+// TestOneSolveBatchPerPhase pins how an extraction reaches the black box:
+// each phase's combine-solves schedule goes out as one SolveBatch, and an
+// empty phase makes no call. On Example 3 (Small) the low-rank method
+// answers its 273 solves in 6 batches, the sample and row-basis responses
+// of levels 2–4, because no finest square has a W column; the wavelet
+// method answers its 186 in one.
+func TestOneSolveBatchPerPhase(t *testing.T) {
+	c := experiments.Example3(experiments.Small)
+	g := experiments.SyntheticG(c.Layout)
+	for _, tc := range []struct {
+		method          core.Method
+		solves, batches int64
+	}{
+		{core.LowRank, 273, 6},
+		{core.Wavelet, 186, 1},
+	} {
+		ms := obs.NewMetrics()
+		res, err := core.Extract(solver.NewDense(g), c.Layout, core.Options{
+			Method: tc.method, MaxLevel: c.MaxLevel, Workers: 2, Metrics: ms,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d budget=%d: %v", workers, budget, err)
+			t.Fatalf("%v: %v", tc.method, err)
 		}
-		return res
-	}
-
-	ref := extract(1, 0) // unbounded serial run is the reference
-	refApply := ref.Apply(probe)
-
-	// 1 B forces one group per batch (the worst fragmentation); 256 KiB
-	// chunks mid-tree batches; 1 GiB never chunks at this size and must be
-	// indistinguishable from 0.
-	budgets := []int64{1, 256 << 10, 1 << 30}
-	workerCounts := []int{1, 2, runtime.NumCPU()}
-	for _, budget := range budgets {
-		for _, w := range workerCounts {
-			res := extract(w, budget)
-			if res.Solves != ref.Solves {
-				t.Errorf("workers=%d budget=%d: %d solves vs %d unbounded", w, budget, res.Solves, ref.Solves)
-			}
-			sameMatrix(t, "Q", ref.Q(), res.Q())
-			sameMatrix(t, "Gw", ref.Gw, res.Gw)
-			sameMatrix(t, "Gwt", ref.Gwt, res.Gwt)
-			app := res.Apply(probe)
-			for i := range app {
-				if app[i] != refApply[i] {
-					t.Fatalf("workers=%d budget=%d: Apply[%d] = %v vs %v (not bitwise identical)",
-						w, budget, i, app[i], refApply[i])
-				}
+		snap, _ := ms.Report()
+		got := snap.Counters
+		if int64(res.Solves) != tc.solves || got["solver/solves"] != tc.solves || got["solver/batches"] != tc.batches {
+			t.Errorf("%v: %d solves (counter %d) in %d batches, want %d in %d",
+				tc.method, res.Solves, got["solver/solves"], got["solver/batches"], tc.solves, tc.batches)
+		}
+		if tc.method == core.LowRank {
+			if w, ok := got["lowrank/solves_w"]; !ok || w != 0 {
+				t.Errorf("lowrank/solves_w = %d (recorded %v), want a recorded 0", w, ok)
 			}
 		}
 	}

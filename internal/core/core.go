@@ -52,8 +52,6 @@ type Options struct {
 	Method Method
 	// MaxLevel is the quadtree depth (>= 2). Use Prepare to choose it.
 	MaxLevel int
-	// MomentOrder is the wavelet moment order p (default 2).
-	MomentOrder int
 	// LowRank tunes the low-rank method; zero value means
 	// lowrank.DefaultOptions.
 	LowRank lowrank.Options
@@ -61,22 +59,10 @@ type Options struct {
 	// approximately ThresholdFactor × its unthresholded sparsity (the
 	// thesis uses 6). The thresholded matrix is exposed as Result.Gwt.
 	ThresholdFactor float64
-	// CombineSolves enables solve combining in the wavelet method (the
-	// low-rank method reads its own flag from LowRank). Default true.
-	DisableCombineSolves bool
 	// Workers sizes the worker pool used for independent black-box solves
 	// and per-square basis work; <= 0 selects runtime.NumCPU() and 1 runs
 	// fully serial. Extraction results are bitwise-identical for any value.
 	Workers int
-	// MaxBatchBytes, when > 0, caps the memory held by in-flight right-hand
-	// sides during the low-rank respond phases: solve groups are issued in
-	// chunks of at most this many bytes and separated chunk-by-chunk instead
-	// of all at once. At 10k+ contacts the unbounded batches dominate peak
-	// heap, so the scaling suite sets this. Chunking never changes output —
-	// results are bitwise identical for any budget (enforced by the
-	// determinism suite). 0 means unbounded. Ignored by the wavelet method,
-	// whose per-level batches are already O(levels) vectors.
-	MaxBatchBytes int64
 	// Metrics, when non-nil, collects per-phase wall times, solve counts,
 	// batch stats, rank cuts, (for instrumented solvers) iteration and
 	// residual histograms during the extraction, and the result engine's
@@ -159,19 +145,12 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 	m := &model.Model{Method: opt.Method.String(), N: layout.N(), Layout: layout}
 	switch opt.Method {
 	case Wavelet:
-		p := opt.MomentOrder
-		if p == 0 {
-			p = 2
-		}
-		b, err := wavelet.NewBasisObs(layout, tree, p, opt.Workers, opt.Metrics, opt.Tracer)
+		// Moment order p = 2, the thesis's choice for every example.
+		b, err := wavelet.NewBasisObs(layout, tree, 2, opt.Workers, opt.Metrics, opt.Tracer)
 		if err != nil {
 			return nil, err
 		}
-		if opt.DisableCombineSolves {
-			res.Gw, err = b.ExtractDirect(counting)
-		} else {
-			res.Gw, err = b.ExtractCombined(counting)
-		}
+		res.Gw, err = b.ExtractCombined(counting)
 		if err != nil {
 			return nil, err
 		}
@@ -192,9 +171,6 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 		}
 		if lopt.Workers == 0 {
 			lopt.Workers = opt.Workers
-		}
-		if lopt.MaxBatchBytes == 0 {
-			lopt.MaxBatchBytes = opt.MaxBatchBytes
 		}
 		lopt.Metrics = opt.Metrics
 		lopt.Trace = opt.Tracer

@@ -160,9 +160,7 @@ func TestAtScale4096Correctness(t *testing.T) {
 // TestAtScale4096WorkerDeterminism extends the bitwise worker-count
 // guarantee to paper scale: at 4096 contacts, for both methods, the
 // extracted Gw/Gwt/solves and a probe apply must be bitwise identical for
-// workers ∈ {1, 2, NumCPU} — and for the low-rank method additionally with
-// the memory-bounded respond batching active (64 MB budget), which must be
-// bitwise invisible too.
+// workers ∈ {1, 2, NumCPU}.
 func TestAtScale4096WorkerDeterminism(t *testing.T) {
 	sc := paperScale(t)
 	g := SyntheticSolver(sc.Case)
@@ -173,39 +171,30 @@ func TestAtScale4096WorkerDeterminism(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, runtime.NumCPU()}
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
-		budgets := []int64{0}
-		if method == core.LowRank {
-			budgets = []int64{0, 64 << 20}
-		}
 		var refApply []float64
 		var refSolves, refNNZ int
-		for _, budget := range budgets {
-			for _, w := range workerCounts {
-				res, err := core.Extract(solver.NewDense(g), sc.Case.Layout, core.Options{
-					Method: method, MaxLevel: sc.Case.MaxLevel, ThresholdFactor: 6,
-					Workers: w, MaxBatchBytes: budget,
-				})
-				if err != nil {
-					t.Fatalf("%v workers=%d budget=%d: %v", method, w, budget, err)
-				}
-				app := res.Apply(probe)
-				if refApply == nil {
-					refApply, refSolves, refNNZ = app, res.Solves, res.Gw.NNZ()
-					continue
-				}
-				if res.Solves != refSolves {
-					t.Errorf("%v workers=%d budget=%d: %d solves vs %d reference",
-						method, w, budget, res.Solves, refSolves)
-				}
-				if res.Gw.NNZ() != refNNZ {
-					t.Errorf("%v workers=%d budget=%d: Gw nnz %d vs %d reference",
-						method, w, budget, res.Gw.NNZ(), refNNZ)
-				}
-				for i := range app {
-					if app[i] != refApply[i] {
-						t.Fatalf("%v workers=%d budget=%d: Apply[%d] = %v vs %v (not bitwise identical)",
-							method, w, budget, i, app[i], refApply[i])
-					}
+		for _, w := range workerCounts {
+			res, err := core.Extract(solver.NewDense(g), sc.Case.Layout, core.Options{
+				Method: method, MaxLevel: sc.Case.MaxLevel, ThresholdFactor: 6, Workers: w,
+			})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", method, w, err)
+			}
+			app := res.Apply(probe)
+			if refApply == nil {
+				refApply, refSolves, refNNZ = app, res.Solves, res.Gw.NNZ()
+				continue
+			}
+			if res.Solves != refSolves {
+				t.Errorf("%v workers=%d: %d solves vs %d reference", method, w, res.Solves, refSolves)
+			}
+			if res.Gw.NNZ() != refNNZ {
+				t.Errorf("%v workers=%d: Gw nnz %d vs %d reference", method, w, res.Gw.NNZ(), refNNZ)
+			}
+			for i := range app {
+				if app[i] != refApply[i] {
+					t.Fatalf("%v workers=%d: Apply[%d] = %v vs %v (not bitwise identical)",
+						method, w, i, app[i], refApply[i])
 				}
 			}
 		}

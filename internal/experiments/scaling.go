@@ -102,10 +102,8 @@ func SyntheticSolver(c Case) *la.Dense { return SyntheticG(c.Layout) }
 // RunScalingPoint runs one (case, method) rung: a single instrumented
 // extraction against the precomputed synthetic kernel g, with per-phase
 // wall times, peak Go heap (sampled) and peak process RSS (kernel VmHWM)
-// recorded alongside the solve count and Gw/Gwt nonzeros. maxBatchBytes
-// bounds the low-rank respond batches (0 = unbounded); outputs are bitwise
-// identical either way, so the point's solves/nnz never depend on it.
-func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method, maxBatchBytes int64) (ScalingPoint, error) {
+// recorded alongside the solve count and Gw/Gwt nonzeros.
+func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method) (ScalingPoint, error) {
 	c := sc.Case
 	ms := obs.NewMetrics()
 	runtime.GC() // start each rung from a collected heap so peaks are comparable
@@ -113,7 +111,7 @@ func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method, maxBatchBy
 	start := time.Now()
 	res, err := core.Extract(solver.NewDense(g), c.Layout, core.Options{
 		Method: method, MaxLevel: c.MaxLevel, ThresholdFactor: 6,
-		Workers: Workers, MaxBatchBytes: maxBatchBytes, Metrics: ms,
+		Workers: Workers, Metrics: ms,
 	})
 	seconds := time.Since(start).Seconds()
 	peakHeap := sampler.Stop()

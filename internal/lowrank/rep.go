@@ -21,7 +21,6 @@ package lowrank
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"subcouple/internal/geom"
 	"subcouple/internal/la"
@@ -53,16 +52,6 @@ type Options struct {
 	// separation) and is passed down with batched black-box solves;
 	// <= 0 selects runtime.NumCPU(). Results are identical for any value.
 	Workers int
-	// MaxBatchBytes, when > 0, caps the memory held by in-flight right-hand
-	// sides and their responses during the respond phases: solve groups are
-	// issued to the black box in chunks of at most MaxBatchBytes (counting
-	// 16·n bytes per group — one n-vector out, one back) and each chunk is
-	// separated into per-square responses before the next chunk's vectors
-	// are built. 0 means unbounded (every group of a phase in one batch).
-	// Chunking never changes output: the same vectors are solved in the
-	// same order, so results are bitwise identical for any budget — only
-	// peak memory and the batch sizes the solver sees move.
-	MaxBatchBytes int64
 	// Metrics, when non-nil, receives per-phase wall times, solve counters
 	// and rank cuts for the build and the fine-to-coarse transform.
 	// Recording never changes the representation.
@@ -372,97 +361,41 @@ func sigmaHead(sigma []float64) []float64 {
 	return append([]float64{}, sigma...)
 }
 
-// groupChunk returns how many solve groups the respond phases keep in
-// flight at once under the Options.MaxBatchBytes budget: each group costs
-// one n-length right-hand side plus one n-length response (16·n bytes).
-// A budget of 0 (or one too small for a single group) degenerates to the
-// unbounded/single-group behavior, never to zero.
-func (r *Rep) groupChunk(n, groups int) int {
-	if r.Opt.MaxBatchBytes <= 0 || groups == 0 {
-		return max(groups, 1)
-	}
-	c := int(r.Opt.MaxBatchBytes / int64(16*n)) // 16n bytes per group
-	if c < 1 {
-		c = 1
-	}
-	if c > groups {
-		c = groups
-	}
-	return c
-}
-
 // respond fills out = (G_{Ps,s}·vec)^(r) for every pending vector at the
 // given level, using direct solves on level 2 (or when combine-solves is
-// off) and the splitting method + combine-solves on finer levels. Black-box
-// calls go through SolveBatch — one batch per phase by default, or chunks
-// bounded by Options.MaxBatchBytes, with each chunk separated before the
-// next is built so peak right-hand-side memory stays capped. The per-vector
-// response separation runs on the worker pool; outputs land in per-pending
-// slots so the result is bitwise identical for any worker count and any
-// byte budget.
+// off) and the splitting method + combine-solves on finer levels. A
+// solver.Combined schedule issues the phase's black-box calls in one
+// SolveBatch. The per-vector response separation runs on the worker pool;
+// outputs land in per-pending slots so the result is bitwise identical for
+// any worker count.
 func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
 	defer r.Opt.Metrics.Phase("lowrank/respond")()
 	rsp := r.Opt.Trace.Begin("lowrank/respond").Arg("level", lev).Arg("vectors", len(batch))
 	defer rsp.End()
-	n := r.Layout.N()
 	if lev == 2 || !r.Opt.CombineSolves {
-		r.Opt.Metrics.Event("lowrank/solves_respond").Add(int64(len(batch)))
-		rsp.Arg("solves", len(batch))
-		chunk := r.groupChunk(n, len(batch))
-		for base := 0; base < len(batch); base += chunk {
-			end := min(base+chunk, len(batch))
-			thetas := make([][]float64, end-base)
-			for i, p := range batch[base:end] {
-				theta := make([]float64, n)
-				for j, c := range p.sd.sq.Contacts {
-					theta[c] = p.vec[j]
-				}
-				thetas[i] = theta
+		var sched solver.Combined[*pending]
+		for i, p := range batch {
+			sched.Add([4]int{i}, p)
+		}
+		r.Opt.Metrics.Event("lowrank/solves_respond").Add(int64(sched.Len()))
+		rsp.Arg("solves", sched.Len())
+		groups, err := sched.Solve(s, func(theta []float64, p *pending) {
+			for j, c := range p.sd.sq.Contacts {
+				theta[c] = p.vec[j]
 			}
-			ys, err := solver.SolveBatch(s, thetas)
-			if err != nil {
-				return err
-			}
-			for i, p := range batch[base:end] {
-				p.out = restrict(ys[i], p.sd.pContacts)
-			}
+		})
+		if err != nil {
+			return err
+		}
+		for _, g := range groups {
+			p := g.Members[0]
+			p.out = restrict(g.Y, p.sd.pContacts)
 		}
 		return nil
 	}
 	// Group by (parent mod-3 class, child index, per-square sequence
 	// number): members' parents are >= 3 apart, so the o-vectors'
 	// supports and local target regions never collide (§3.5, Fig 3-5).
-	// Groups are visited in sorted key order for reproducibility.
-	type key struct{ a, b, child, seq int }
-	groups := map[key][]*pending{}
-	seq := map[int]int{}
-	for _, p := range batch {
-		sq := p.sd.sq
-		psq := r.Tree.Parent(sq)
-		a, b := quadtree.Mod3Class(psq)
-		child := (sq.I%2)<<1 | sq.J%2
-		k := key{a, b, child, seq[sq.ID]}
-		seq[sq.ID]++
-		groups[k] = append(groups[k], p)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(x, y int) bool {
-		a, b := keys[x], keys[y]
-		if a.a != b.a {
-			return a.a < b.a
-		}
-		if a.b != b.b {
-			return a.b < b.b
-		}
-		if a.child != b.child {
-			return a.child < b.child
-		}
-		return a.seq < b.seq
-	})
-
 	type split struct {
 		p    *pending
 		par  *squareData
@@ -470,102 +403,95 @@ func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
 		o    []float64 // v − V_p·coef, over parent contacts
 		y    []float64 // the group's combined response
 	}
-	r.Opt.Metrics.Event("lowrank/solves_respond").Add(int64(len(keys)))
-	rsp.Arg("solves", len(keys))
-	// Groups are processed in chunks of at most groupChunk under the byte
-	// budget (one chunk when unbounded): pass 1 builds the chunk's thetas,
-	// one SolveBatch answers them, and pass 2 separates the chunk before the
-	// next chunk's vectors exist. Chunking is invisible in the output — the
-	// same thetas are solved in the same (sorted-key) order.
-	chunk := r.groupChunk(n, len(keys))
-	for base := 0; base < len(keys); base += chunk {
-		end := min(base+chunk, len(keys))
-		// Pass 1: split each vector against its parent basis and accumulate
-		// the o-vectors of a group into its theta (disjoint supports within
-		// a group).
-		thetas := make([][]float64, 0, end-base)
-		var splits []*split
-		groupOf := make([]int, 0) // split index → theta index
-		for gi, k := range keys[base:end] {
-			theta := make([]float64, n)
-			for _, p := range groups[k] {
-				parSq := r.Tree.Parent(p.sd.sq)
-				psd := r.at(lev-1, parSq.ID)
-				// Zero-pad into the parent's contact ordering.
-				v := make([]float64, len(parSq.Contacts))
-				prows := make(map[int]int, len(parSq.Contacts))
-				for i, c := range parSq.Contacts {
-					prows[c] = i
-				}
-				for i, c := range p.sd.sq.Contacts {
-					v[prows[c]] = p.vec[i]
-				}
-				coef := psd.V.MulVecT(v)
-				o := v
-				back := psd.V.MulVec(coef)
-				la.Axpy(-1, back, o)
-				for i, c := range parSq.Contacts {
-					theta[c] += o[i]
-				}
-				splits = append(splits, &split{p: p, par: psd, coef: coef, o: o})
-				groupOf = append(groupOf, gi)
-			}
-			thetas = append(thetas, theta)
-		}
-		ys, err := solver.SolveBatch(s, thetas)
-		if err != nil {
-			return err
-		}
-		for i, sp := range splits {
-			sp.y = ys[groupOf[i]]
-		}
-		// Pass 2: separate each response. Each split touches only its own
-		// pending's out slot, so this fans out cleanly.
-		par.Do(r.Opt.Workers, len(splits), func(i int) {
-			sp := splits[i]
-			p := sp.p
-			out := make([]float64, len(p.sd.pContacts))
-			// Coarse part: R_p·coef restricted to P_s (= contacts of L_p).
-			coarse := sp.par.R.MulVec(sp.coef)
-			for i, c := range p.sd.pContacts {
-				out[i] = coarse[sp.par.pIndex[c]]
-			}
-			// Fine part: refined G_{q,p}·o for every parent-level local q.
-			for _, qsq := range r.Tree.Local(sp.par.sq) {
-				q := r.at(lev-1, qsq.ID)
-				if q == nil {
-					continue
-				}
-				raw := restrict(sp.y, qsq.Contacts)
-				t := raw
-				if r.Opt.Refine {
-					// (4.24): V_q((G_pq V_q)ᵀo) + raw − V_q(V_qᵀ raw).
-					alpha := q.rowsFor(sp.par.sq).MulVecT(sp.o)
-					beta := q.V.MulVecT(raw)
-					la.Axpy(-1, beta, alpha)
-					corr := q.V.MulVec(alpha)
-					la.Axpy(1, corr, t)
-				}
-				for i, c := range qsq.Contacts {
-					out[p.sd.pIndex[c]] += t[i]
-				}
-			}
-			p.out = out
-		})
+	var sched solver.Combined[*split]
+	seq := map[int]int{}
+	for _, p := range batch {
+		sq := p.sd.sq
+		psq := r.Tree.Parent(sq)
+		a, b := quadtree.Mod3Class(psq)
+		child := (sq.I%2)<<1 | sq.J%2
+		sched.Add([4]int{a, b, child, seq[sq.ID]}, &split{p: p, par: r.at(lev-1, psq.ID)})
+		seq[sq.ID]++
 	}
+	r.Opt.Metrics.Event("lowrank/solves_respond").Add(int64(sched.Len()))
+	rsp.Arg("solves", sched.Len())
+	// Split each vector against its parent basis and accumulate the
+	// o-vectors of a group into its theta (disjoint supports within a
+	// group).
+	groups, err := sched.Solve(s, func(theta []float64, sp *split) {
+		parSq := sp.par.sq
+		// Zero-pad into the parent's contact ordering.
+		v := make([]float64, len(parSq.Contacts))
+		prows := make(map[int]int, len(parSq.Contacts))
+		for i, c := range parSq.Contacts {
+			prows[c] = i
+		}
+		for i, c := range sp.p.sd.sq.Contacts {
+			v[prows[c]] = sp.p.vec[i]
+		}
+		sp.coef = sp.par.V.MulVecT(v)
+		sp.o = v
+		la.Axpy(-1, sp.par.V.MulVec(sp.coef), sp.o)
+		for i, c := range parSq.Contacts {
+			theta[c] += sp.o[i]
+		}
+	})
+	if err != nil {
+		return err
+	}
+	var splits []*split
+	for _, g := range groups {
+		for _, sp := range g.Members {
+			sp.y = g.Y
+			splits = append(splits, sp)
+		}
+	}
+	// Separate each response. Each split touches only its own pending's out
+	// slot, so this fans out cleanly.
+	par.Do(r.Opt.Workers, len(splits), func(i int) {
+		sp := splits[i]
+		p := sp.p
+		out := make([]float64, len(p.sd.pContacts))
+		// Coarse part: R_p·coef restricted to P_s (= contacts of L_p).
+		coarse := sp.par.R.MulVec(sp.coef)
+		for i, c := range p.sd.pContacts {
+			out[i] = coarse[sp.par.pIndex[c]]
+		}
+		// Fine part: refined G_{q,p}·o for every parent-level local q.
+		for _, qsq := range r.Tree.Local(sp.par.sq) {
+			q := r.at(lev-1, qsq.ID)
+			if q == nil {
+				continue
+			}
+			t := r.localResponse(q, sp.par.sq, sp.o, sp.y)
+			for i, c := range qsq.Contacts {
+				out[p.sd.pIndex[c]] += t[i]
+			}
+		}
+		p.out = out
+	})
 	return nil
+}
+
+// localResponse returns y at the contacts of q, a square local to s, where
+// y is the response to a vector x on s's contacts. With refinement on it
+// applies the (4.24) correction through q's row basis:
+//
+//	y_q + V_q·((G_{s,q}V_q)⁽ʳ⁾ᵀ·x − V_qᵀ·y_q).
+func (r *Rep) localResponse(q *squareData, s *quadtree.Square, x, y []float64) []float64 {
+	t := restrict(y, q.sq.Contacts)
+	if r.Opt.Refine {
+		alpha := q.rowsFor(s).MulVecT(x)
+		la.Axpy(-1, q.V.MulVecT(t), alpha)
+		la.Axpy(1, q.V.MulVec(alpha), t)
+	}
+	return t
 }
 
 // buildFinestLocal forms W_s, the refined local W responses, and the local
 // blocks (4.26) on the finest level.
 func (r *Rep) buildFinestLocal(s solver.Solver) error {
 	L := r.Tree.MaxLevel
-	n := r.Layout.N()
-	type witem struct {
-		sd  *squareData
-		m   int
-		out []float64 // the combined response of the item's group
-	}
 	// W = orthogonal complement of V per square: independent SVDs, fanned
 	// out with the results committed serially in square order.
 	finest := r.Tree.SquaresAt(L)
@@ -584,98 +510,62 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 		ssp.Arg("w_cols", sd.W.Cols).End()
 	})
 	wsp.End()
-	var items []*witem
+	// Respond to W columns, grouped by (mod-3 class at the finest level,
+	// column index) — W vectors live on their own square, so same-level
+	// spacing suffices — or one group per column without combine-solves.
+	type witem struct {
+		sd *squareData
+		m  int
+		y  []float64 // the combined response of the item's group
+	}
+	var sched solver.Combined[*witem]
 	for _, sq := range finest {
 		sd := r.at(L, sq.ID)
 		if sd == nil {
 			continue
 		}
+		a, b := quadtree.Mod3Class(sq)
 		for m := 0; m < sd.W.Cols; m++ {
-			items = append(items, &witem{sd: sd, m: m})
+			key := [4]int{a, b, m}
+			if !r.Opt.CombineSolves {
+				key = [4]int{sched.Len()} // the k-th column, alone
+			}
+			sched.Add(key, &witem{sd: sd, m: m})
 		}
 	}
-	// Respond to W columns, grouped by (mod-3 class at the finest level,
-	// column index) — W vectors live on their own square, so same-level
-	// spacing suffices. Sorted group order + one batched solve.
-	type key struct{ a, b, m int }
-	groups := map[key][]*witem{}
-	for _, it := range items {
-		a, b := quadtree.Mod3Class(it.sd.sq)
-		groups[key{a, b, it.m}] = append(groups[key{a, b, it.m}], it)
-	}
-	if !r.Opt.CombineSolves {
-		groups = map[key][]*witem{}
-		for i, it := range items {
-			groups[key{i, 0, 0}] = []*witem{it}
+	r.Opt.Metrics.Event("lowrank/solves_w").Add(int64(sched.Len()))
+	groups, err := sched.Solve(s, func(theta []float64, it *witem) {
+		for i, c := range it.sd.sq.Contacts {
+			theta[c] += it.sd.W.At(i, it.m)
 		}
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(x, y int) bool {
-		a, b := keys[x], keys[y]
-		if a.a != b.a {
-			return a.a < b.a
-		}
-		if a.b != b.b {
-			return a.b < b.b
-		}
-		return a.m < b.m
 	})
-	r.Opt.Metrics.Event("lowrank/solves_w").Add(int64(len(keys)))
-	// Like respond, the W-column solves run in byte-budgeted chunks (one
-	// chunk when unbounded), each separated before the next is built.
-	chunk := r.groupChunk(n, len(keys))
-	for base := 0; base < len(keys); base += chunk {
-		end := min(base+chunk, len(keys))
-		thetas := make([][]float64, end-base)
-		var chunkItems []*witem
-		for gi, k := range keys[base:end] {
-			theta := make([]float64, n)
-			for _, it := range groups[k] {
-				for i, c := range it.sd.sq.Contacts {
-					theta[c] += it.sd.W.At(i, it.m)
-				}
-			}
-			thetas[gi] = theta
-		}
-		ys, err := solver.SolveBatch(s, thetas)
-		if err != nil {
-			return err
-		}
-		for gi, k := range keys[base:end] {
-			for _, it := range groups[k] {
-				it.out = ys[gi]
-				chunkItems = append(chunkItems, it)
-			}
-		}
-		// Separate each W response; every item owns its GLW column, so the
-		// separation fans out.
-		par.Do(r.Opt.Workers, len(chunkItems), func(idx int) {
-			it := chunkItems[idx]
-			sd := it.sd
-			y := it.out
-			out := make([]float64, len(sd.lContacts))
-			w := sd.W.Col(it.m)
-			pos := 0
-			for _, qsq := range r.Tree.Local(sd.sq) {
-				raw := restrict(y, qsq.Contacts)
-				t := raw
-				q := r.at(L, qsq.ID)
-				if r.Opt.Refine && q != nil {
-					alpha := q.rowsFor(sd.sq).MulVecT(w)
-					beta := q.V.MulVecT(raw)
-					la.Axpy(-1, beta, alpha)
-					corr := q.V.MulVec(alpha)
-					la.Axpy(1, corr, t)
-				}
-				copy(out[pos:pos+len(qsq.Contacts)], t)
-				pos += len(qsq.Contacts)
-			}
-			sd.GLW.SetCol(it.m, out)
-		})
+	if err != nil {
+		return err
 	}
+	var answered []*witem
+	for _, g := range groups {
+		for _, it := range g.Members {
+			it.y = g.Y
+			answered = append(answered, it)
+		}
+	}
+	// Separate each W response; every item owns its GLW column, so the
+	// separation fans out.
+	par.Do(r.Opt.Workers, len(answered), func(idx int) {
+		it := answered[idx]
+		sd := it.sd
+		out := make([]float64, len(sd.lContacts))
+		w := sd.W.Col(it.m)
+		pos := 0
+		for _, qsq := range r.Tree.Local(sd.sq) {
+			q := r.at(L, qsq.ID)
+			if q == nil {
+				continue
+			}
+			pos += copy(out[pos:], r.localResponse(q, sd.sq, w, it.y))
+		}
+		sd.GLW.SetCol(it.m, out)
+	})
 	// Local blocks (4.26): (G_Ls,s)^(f) = (G V_s)^(r)·V_sᵀ + (G W_s)^(c)·W_sᵀ.
 	bsp := r.Opt.Trace.Begin("lowrank/local_block").Arg("level", L).Arg("squares", len(finest))
 	par.Do(r.Opt.Workers, len(finest), func(i int) {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"subcouple/internal/obs"
 	"subcouple/internal/par"
@@ -32,6 +33,66 @@ func SolveBatch(s Solver, vs [][]float64) ([][]float64, error) {
 			return nil, err
 		}
 		out[i] = r
+	}
+	return out, nil
+}
+
+// Combined is a combine-solves schedule (thesis §3.5, eq. 3.24): the
+// members filed under one key share one black-box call, whose right-hand
+// side is the sum of their vectors, and the caller separates each member's
+// part from the group's response. Keys order the groups; a key that needs
+// fewer than four fields leaves the rest zero. The zero value is empty and
+// ready to use.
+type Combined[M any] struct {
+	groups map[[4]int][]M
+}
+
+// Group is one answered group of a Combined schedule.
+type Group[M any] struct {
+	Key     [4]int
+	Members []M       // in Add order
+	Y       []float64 // response to the members' summed right-hand side
+}
+
+// Add files member m under key.
+func (c *Combined[M]) Add(key [4]int, m M) {
+	if c.groups == nil {
+		c.groups = map[[4]int][]M{}
+	}
+	c.groups[key] = append(c.groups[key], m)
+}
+
+// Len returns the number of groups: the solves Solve will issue.
+func (c *Combined[M]) Len() int { return len(c.groups) }
+
+// Solve builds one right-hand side per group, calling add(theta, m) on a
+// zero vector for each member in Add order, answers every group in one
+// SolveBatch in ascending key order, and returns the groups in that order.
+// An empty schedule makes no solver call.
+func (c *Combined[M]) Solve(s Solver, add func(theta []float64, m M)) ([]Group[M], error) {
+	if len(c.groups) == 0 {
+		return nil, nil
+	}
+	keys := make([][4]int, 0, len(c.groups))
+	for k := range c.groups {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b [4]int) int { return slices.Compare(a[:], b[:]) })
+	out := make([]Group[M], len(keys))
+	rhs := make([][]float64, len(keys))
+	for i, k := range keys {
+		out[i] = Group[M]{Key: k, Members: c.groups[k]}
+		rhs[i] = make([]float64, s.N())
+		for _, m := range out[i].Members {
+			add(rhs[i], m)
+		}
+	}
+	ys, err := SolveBatch(s, rhs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].Y = ys[i]
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,5 +218,116 @@ func TestExtractColumnsOutOfRange(t *testing.T) {
 	}
 	if _, err := ExtractColumns(s, []int{-1}); err == nil {
 		t.Fatalf("expected negative-index error")
+	}
+}
+
+// recordingBatch is a BatchSolver that keeps every batch it is given and
+// answers each right-hand side with a copy of itself, or fails with err.
+type recordingBatch struct {
+	n     int
+	err   error
+	calls [][][]float64
+}
+
+func (r *recordingBatch) N() int { return r.n }
+
+func (r *recordingBatch) Solve(v []float64) ([]float64, error) {
+	ys, err := r.SolveBatch([][]float64{v})
+	if err != nil {
+		return nil, err
+	}
+	return ys[0], nil
+}
+
+func (r *recordingBatch) SolveBatch(vs [][]float64) ([][]float64, error) {
+	r.calls = append(r.calls, vs)
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := make([][]float64, len(vs))
+	for i, v := range vs {
+		out[i] = append([]float64(nil), v...)
+	}
+	return out, nil
+}
+
+// schedMember is one vector of a test schedule: value v at contact c.
+type schedMember struct {
+	c int
+	v float64
+}
+
+func addMember(theta []float64, m schedMember) { theta[m.c] += m.v }
+
+// TestCombinedSchedule pins the combine-solves schedule: groups come back in
+// lexicographic key order whatever the Add order, members keep their Add
+// order, each group's right-hand side is the exact sum of its members'
+// disjoint vectors, and the whole schedule is one SolveBatch call.
+func TestCombinedSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := [][4]int{{2}, {0, 1, 2, 3}, {0, 1, 2}, {1, -1}, {0, 2}, {0, 1, 3}}
+	want := [][4]int{{0, 1, 2}, {0, 1, 2, 3}, {0, 1, 3}, {0, 2}, {1, -1}, {2}}
+	const n = 64
+	var sched Combined[schedMember]
+	added := map[[4]int][]schedMember{}
+	for c := 0; c < n; c++ { // every member owns one contact: disjoint supports
+		k := keys[rng.Intn(len(keys))]
+		m := schedMember{c: c, v: rng.NormFloat64()}
+		sched.Add(k, m)
+		added[k] = append(added[k], m)
+	}
+	if sched.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", sched.Len(), len(keys))
+	}
+	rb := &recordingBatch{n: n}
+	groups, err := sched.Solve(rb, addMember)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rb.calls) != 1 || len(rb.calls[0]) != len(want) {
+		t.Fatalf("%d SolveBatch calls, want one of %d right-hand sides", len(rb.calls), len(want))
+	}
+	if len(groups) != len(want) {
+		t.Fatalf("%d groups, want %d", len(groups), len(want))
+	}
+	for i, g := range groups {
+		if g.Key != want[i] {
+			t.Fatalf("group %d has key %v, want %v", i, g.Key, want[i])
+		}
+		ms := added[g.Key]
+		if len(g.Members) != len(ms) {
+			t.Fatalf("group %v has %d members, want %d", g.Key, len(g.Members), len(ms))
+		}
+		sum := make([]float64, n)
+		for j, m := range ms {
+			if g.Members[j] != m {
+				t.Fatalf("group %v member %d = %+v, want %+v (Add order)", g.Key, j, g.Members[j], m)
+			}
+			sum[m.c] = m.v
+		}
+		for c := range sum {
+			if g.Y[c] != sum[c] || rb.calls[0][i][c] != sum[c] {
+				t.Fatalf("group %v contact %d: rhs %v, response %v, want %v",
+					g.Key, c, rb.calls[0][i][c], g.Y[c], sum[c])
+			}
+		}
+	}
+}
+
+// TestCombinedEmptyAndError pins the schedule's edges: an empty schedule
+// makes no solver call, and a solver error is returned.
+func TestCombinedEmptyAndError(t *testing.T) {
+	rb := &recordingBatch{n: 4}
+	var empty Combined[schedMember]
+	groups, err := empty.Solve(rb, addMember)
+	if err != nil || groups != nil || len(rb.calls) != 0 {
+		t.Fatalf("empty schedule: groups %v, err %v, %d solver calls; want none", groups, err, len(rb.calls))
+	}
+	boom := errors.New("boom")
+	rb.err = boom
+	var sched Combined[schedMember]
+	sched.Add([4]int{1}, schedMember{c: 0, v: 1})
+	if _, err := sched.Solve(rb, addMember); !errors.Is(err, boom) {
+		t.Fatalf("solver error not returned: %v", err)
 	}
 }

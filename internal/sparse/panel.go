@@ -2,19 +2,19 @@ package sparse
 
 import "fmt"
 
-// Panel kernels: multi-RHS sparse multiplies over a column-major panel.
+// Panel kernel: multi-RHS sparse multiply over a column-major panel.
 //
 // A panel packs k right-hand sides contiguously, column-major: column c of
 // an n×k panel occupies p[c*n : (c+1)*n]. The layout keeps every individual
 // RHS a contiguous n-vector (so a single column can be handed to or compared
-// against the single-RHS kernels byte for byte) while letting one sweep over
+// against the single-RHS kernel byte for byte) while letting one sweep over
 // the matrix structure — RowPtr/ColIdx/Val are streamed exactly once — touch
 // all k columns, instead of re-streaming the matrix k times as a per-column
 // loop would.
 //
 // Per column the arithmetic is the exact accumulation sequence of the
-// single-RHS kernels (same terms, same order), so panel results are bitwise
-// identical to MulVecInto/MulVecTInto applied column by column.
+// single-RHS kernel (same terms, same order), so panel results are bitwise
+// identical to MulVecInto applied column by column.
 
 // checkPanel validates one panel argument against its expected n×k size.
 func checkPanel(what string, p []float64, n, k int) {
@@ -103,30 +103,5 @@ func (m *Matrix) MulPanelInto(y, x []float64, k int) {
 	}
 	for ; c < k; c++ {
 		m.MulVecInto(y[c*rows:(c+1)*rows], x[c*cols:(c+1)*cols])
-	}
-}
-
-// MulPanelTInto computes Y = mᵀ·X where X is a Rows×k column-major panel and
-// Y a Cols×k column-major panel. Y may not alias X. Column c of Y is bitwise
-// identical to MulVecTInto on column c of X (including its skip of exact-zero
-// x entries).
-func (m *Matrix) MulPanelTInto(y, x []float64, k int) {
-	checkPanel("MulPanelTInto x", x, m.Rows, k)
-	checkPanel("MulPanelTInto y", y, m.Cols, k)
-	if len(y) > 0 && len(x) > 0 && &y[0] == &x[0] {
-		panic("sparse: MulPanelTInto: y aliases x")
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			v, ci := m.Val[p], m.ColIdx[p]
-			for c := 0; c < k; c++ {
-				if xr := x[c*m.Rows+r]; xr != 0 {
-					y[c*m.Cols+ci] += v * xr
-				}
-			}
-		}
 	}
 }

@@ -101,37 +101,6 @@ func (m *Matrix) MulVecInto(y, x []float64) {
 	}
 }
 
-// MulVecT returns mᵀ·x.
-func (m *Matrix) MulVecT(x []float64) []float64 {
-	y := make([]float64, m.Cols)
-	m.MulVecTInto(y, x)
-	return y
-}
-
-// MulVecTInto computes y = mᵀ·x in place; y must have length m.Cols and may
-// not alias x. The accumulation order matches MulVecT exactly, so the result
-// is bitwise identical.
-func (m *Matrix) MulVecTInto(y, x []float64) {
-	if len(x) != m.Rows {
-		panic("sparse: MulVecT dimension mismatch")
-	}
-	if len(y) != m.Cols {
-		panic("sparse: MulVecTInto output length mismatch")
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		xr := x[r]
-		if xr == 0 {
-			continue
-		}
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xr
-		}
-	}
-}
-
 // Threshold returns a copy with entries |v| < t dropped.
 func (m *Matrix) Threshold(t float64) *Matrix {
 	out := &Matrix{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}

@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"fmt"
-	"sort"
 
 	"subcouple/internal/la"
 	"subcouple/internal/quadtree"
@@ -27,107 +26,81 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 
 	// Every black-box call of the algorithm is independent of every other,
 	// so the whole schedule — direct solves plus all combine-solves on all
-	// levels — is assembled first and issued as one SolveBatch. A Parallel
-	// (or natively batched) solver then answers them concurrently. Entry
-	// writes into em stay serial and in schedule order, so the result is
-	// bitwise-independent of the worker count.
-	var rhs [][]float64
+	// levels — is issued as one SolveBatch. A Parallel (or natively
+	// batched) solver then answers them concurrently. Entry writes into gw
+	// stay serial and in group order: the set semantics of SymSet make the
+	// overlap entries of symmetric pairs order-sensitive, so a fixed order
+	// is what makes the result bitwise-independent of the worker count.
+	type member struct {
+		col int
+		sq  *quadtree.Square // nil for a direct column
+	}
+	var sched solver.Combined[member]
 
-	// Direct solves: root V columns and W columns on levels 0 and 1
-	// interact with everything.
-	var direct []int
-	direct = append(direct, b.rootV...)
+	// Direct solves, keyed {0, k} for the k-th: root V columns and W
+	// columns on levels 0 and 1 interact with everything.
+	addDirect := func(cols []int) {
+		for _, cj := range cols {
+			sched.Add([4]int{0, sched.Len()}, member{col: cj})
+		}
+	}
+	addDirect(b.rootV)
 	for lev := 0; lev <= 1 && lev <= b.Tree.MaxLevel; lev++ {
-		for _, s := range b.Tree.SquaresAt(lev) {
-			direct = append(direct, b.wCols[lev][s.ID]...)
-		}
-	}
-	for _, cj := range direct {
-		rhs = append(rhs, b.ColVector(cj))
-	}
-
-	// Combine-solves on levels 2..L (eq. 3.24): squares of a (i mod 3,
-	// j mod 3) class are far enough apart to share one solve. Classes are
-	// visited in sorted key order — Go map iteration is randomized, and the
-	// set semantics of SymSet make the overlap entries of symmetric pairs
-	// order-sensitive, so a fixed order is required for reproducibility.
-	type combined struct {
-		lev, m       int
-		contributors []*quadtree.Square
-	}
-	var combs []combined
-	for lev := 2; lev <= b.Tree.MaxLevel; lev++ {
-		classes := make(map[[2]int][]*quadtree.Square)
 		for _, sq := range b.Tree.SquaresAt(lev) {
-			if len(b.wCols[lev][sq.ID]) == 0 {
-				continue
-			}
+			addDirect(b.wCols[lev][sq.ID])
+		}
+	}
+	direct := sched.Len()
+
+	// Combine-solves on levels 2..L (eq. 3.24), keyed {level, i mod 3,
+	// j mod 3, m}: the m-th W columns of squares in one class are far
+	// enough apart to share one solve.
+	for lev := 2; lev <= b.Tree.MaxLevel; lev++ {
+		for _, sq := range b.Tree.SquaresAt(lev) {
 			a, c := quadtree.Mod3Class(sq)
-			classes[[2]int{a, c}] = append(classes[[2]int{a, c}], sq)
-		}
-		keys := make([][2]int, 0, len(classes))
-		for k := range classes {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(x, y int) bool {
-			if keys[x][0] != keys[y][0] {
-				return keys[x][0] < keys[y][0]
+			for m, cj := range b.wCols[lev][sq.ID] {
+				sched.Add([4]int{lev, a, c, m}, member{col: cj, sq: sq})
 			}
-			return keys[x][1] < keys[y][1]
-		})
-		for _, key := range keys {
-			members := classes[key]
-			csp := b.tr.Begin("wavelet/class").
-				Arg("level", lev).Arg("class", fmt.Sprintf("%d,%d", key[0], key[1])).
-				Arg("members", len(members))
-			maxm := 0
-			for _, sq := range members {
-				if n := len(b.wCols[lev][sq.ID]); n > maxm {
-					maxm = n
-				}
-			}
-			for m := 0; m < maxm; m++ {
-				theta := make([]float64, b.N())
-				var contributors []*quadtree.Square
-				for _, sq := range members {
-					cols := b.wCols[lev][sq.ID]
-					if m < len(cols) {
-						b.Columns.AddTo(cols[m], 1, theta)
-						contributors = append(contributors, sq)
-					}
-				}
-				if len(contributors) == 0 {
-					continue
-				}
-				rhs = append(rhs, theta)
-				combs = append(combs, combined{lev: lev, m: m, contributors: contributors})
-			}
-			csp.Arg("solves", maxm).End()
 		}
 	}
 
-	b.ms.Event("wavelet/solves_direct").Add(int64(len(direct)))
-	b.ms.Event("wavelet/solves_combined").Add(int64(len(combs)))
-	xsp.Arg("solves_direct", len(direct)).Arg("solves_combined", len(combs))
-	ys, err := solver.SolveBatch(s, rhs)
+	combined := sched.Len() - direct
+	b.ms.Event("wavelet/solves_direct").Add(int64(direct))
+	b.ms.Event("wavelet/solves_combined").Add(int64(combined))
+	xsp.Arg("solves_direct", direct).Arg("solves_combined", combined)
+	groups, err := sched.Solve(s, func(theta []float64, m member) {
+		b.Columns.AddTo(m.col, 1, theta)
+	})
 	if err != nil {
 		return nil, err
 	}
 	ssp := xsp.Child("wavelet/scatter")
-	for k, cj := range direct {
-		y := ys[k]
+	for _, g := range groups[:direct] {
+		cj := g.Members[0].col
 		for ci := range b.Cols {
-			gw.Put(ci, cj, b.Columns.Dot(ci, y))
+			gw.Put(ci, cj, b.Columns.Dot(ci, g.Y))
 		}
 	}
-	for k, cb := range combs {
-		y := ys[len(direct)+k]
-		for _, sq := range cb.contributors {
-			cj := b.wCols[cb.lev][sq.ID][cb.m]
-			for _, ti := range b.Tree.LocalColumns(sq, b.wCols) {
-				gw.Put(ti, cj, b.Columns.Dot(ti, y))
+	// A class's groups are consecutive, m = 0, 1, ..., and every member
+	// square of the class has an m = 0 column; one span covers each class.
+	for rest := groups[direct:]; len(rest) > 0; {
+		k := 1
+		for k < len(rest) && rest[k].Key[3] != 0 {
+			k++
+		}
+		key := rest[0].Key
+		csp := ssp.Child("wavelet/class").
+			Arg("level", key[0]).Arg("class", fmt.Sprintf("%d,%d", key[1], key[2])).
+			Arg("members", len(rest[0].Members)).Arg("solves", k)
+		for _, g := range rest[:k] {
+			for _, mb := range g.Members {
+				for _, ti := range b.Tree.LocalColumns(mb.sq, b.wCols) {
+					gw.Put(ti, mb.col, b.Columns.Dot(ti, g.Y))
+				}
 			}
 		}
+		csp.End()
+		rest = rest[k:]
 	}
 	ssp.End()
 	return gw.Matrix(), nil
